@@ -1,11 +1,19 @@
 #include "hdc/classifier.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace fhdnn::hdc {
+
+// Accumulation-order contract (DESIGN.md §16): every dot product and squared
+// norm below is one double accumulator summed over j = 0..d-1 in order.
+// Interleaving several classes per pass gives each class its own
+// accumulator, so no sum is reassociated; tests/test_classifier_exact.cpp
+// pins every result bit-for-bit against naive per-element loops.
 
 namespace {
 
@@ -13,6 +21,97 @@ void check_batch(const Tensor& h, std::int64_t d) {
   FHDNN_CHECK(h.ndim() == 2 && h.dim(1) == d,
               "expected (N, " << d << ") hypervectors, got "
                               << shape_to_string(h.shape()));
+}
+
+void check_label(std::int64_t y, std::int64_t k) {
+  FHDNN_CHECK(y >= 0 && y < k, "label " << y << " out of range " << k);
+}
+
+double squared_norm(const float* a, std::int64_t d) {
+  double s = 0.0;
+  for (std::int64_t j = 0; j < d; ++j) s += static_cast<double>(a[j]) * a[j];
+  return s;
+}
+
+/// Squared norm of each row of a (rows x d).
+std::vector<double> row_squared_norms(const float* a, std::int64_t rows,
+                                      std::int64_t d) {
+  std::vector<double> out(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    out[static_cast<std::size_t>(r)] = squared_norm(a + r * d, d);
+  }
+  return out;
+}
+
+/// emit(k, sum_j h[j] * c[k*d + j]) for k in [0, k_n), each sum in j order.
+template <typename Emit>
+void for_each_dot(const float* h, const float* c, std::int64_t k_n,
+                  std::int64_t d, Emit&& emit) {
+  std::int64_t k = 0;
+  for (; k + 4 <= k_n; k += 4) {
+    const float* c0 = c + k * d;
+    const float* c1 = c0 + d;
+    const float* c2 = c1 + d;
+    const float* c3 = c2 + d;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) {
+      const double x = h[j];
+      s0 += x * c0[j];
+      s1 += x * c1[j];
+      s2 += x * c2[j];
+      s3 += x * c3[j];
+    }
+    emit(k, s0);
+    emit(k + 1, s1);
+    emit(k + 2, s2);
+    emit(k + 3, s3);
+  }
+  for (; k < k_n; ++k) {
+    const float* ck = c + k * d;
+    double s = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) s += static_cast<double>(h[j]) * ck[j];
+    emit(k, s);
+  }
+}
+
+/// Cosine similarity of each row of h (n x d) against each row of c
+/// (k_n x d): an (n, k_n) tensor. Query rows are split across the pool;
+/// each row writes only its own output row.
+Tensor cosine_similarities(const float* h, std::int64_t n, const float* c,
+                           std::int64_t k_n, std::int64_t d) {
+  std::vector<double> cnorm = row_squared_norms(c, k_n, d);
+  for (double& v : cnorm) v = std::sqrt(v);
+  Tensor sim(Shape{n, k_n});
+  float* sp = sim.data().data();
+  parallel::parallel_for(
+      0, n, parallel::grain_for((k_n + 1) * d),
+      [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          const float* hi = h + i * d;
+          const double hnorm = std::sqrt(squared_norm(hi, d));
+          float* si = sp + i * k_n;
+          for_each_dot(hi, c, k_n, d, [&](std::int64_t k, double dot) {
+            const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
+            si[k] = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
+          });
+        }
+      });
+  return sim;
+}
+
+/// Copy the columns selected by `cols` (ascending) out of each row of a
+/// (rows x d) into a dense (rows x cols.size()) buffer.
+std::vector<float> gather_columns(const float* a, std::int64_t rows,
+                                  std::int64_t d,
+                                  const std::vector<std::int64_t>& cols) {
+  const std::size_t m = cols.size();
+  std::vector<float> out(static_cast<std::size_t>(rows) * m);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* src = a + r * d;
+    float* dst = out.data() + static_cast<std::size_t>(r) * m;
+    for (std::size_t j = 0; j < m; ++j) dst[j] = src[cols[j]];
+  }
+  return out;
 }
 
 }  // namespace
@@ -28,42 +127,21 @@ void HdClassifier::bundle(const Tensor& h,
   check_batch(h, d_);
   FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
               "bundle labels size mismatch");
+  const float* hp = h.data().data();
+  float* c = c_.data().data();
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
-    for (std::int64_t j = 0; j < d_; ++j) c_(y, j) += h(i, j);
+    check_label(y, k_);
+    const float* hi = hp + i * d_;
+    float* cy = c + y * d_;
+    for (std::int64_t j = 0; j < d_; ++j) cy[j] += hi[j];
   }
 }
 
 Tensor HdClassifier::similarities(const Tensor& h) const {
   check_batch(h, d_);
-  const std::int64_t n = h.dim(0);
-  // Precompute prototype norms.
-  std::vector<double> cnorm(static_cast<std::size_t>(k_));
-  for (std::int64_t k = 0; k < k_; ++k) {
-    double s = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      s += static_cast<double>(c_(k, j)) * c_(k, j);
-    }
-    cnorm[static_cast<std::size_t>(k)] = std::sqrt(s);
-  }
-  Tensor sim(Shape{n, k_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
-    for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-      }
-      const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
-      sim(i, k) = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
-    }
-  }
-  return sim;
+  return cosine_similarities(h.data().data(), h.dim(0), c_.data().data(), k_,
+                             d_);
 }
 
 Tensor HdClassifier::masked_similarities(const Tensor& h,
@@ -71,46 +149,31 @@ Tensor HdClassifier::masked_similarities(const Tensor& h,
   check_batch(h, d_);
   FHDNN_CHECK(static_cast<std::int64_t>(mask.size()) == d_,
               "mask size " << mask.size() << " != d " << d_);
+  // Summing the kept dimensions in ascending order is the masked sum in j
+  // order, so a dense gather of those columns reuses the unmasked kernel.
+  std::vector<std::int64_t> kept;
+  for (std::int64_t j = 0; j < d_; ++j) {
+    if (mask[static_cast<std::size_t>(j)]) kept.push_back(j);
+  }
   const std::int64_t n = h.dim(0);
-  std::vector<double> cnorm(static_cast<std::size_t>(k_));
-  for (std::int64_t k = 0; k < k_; ++k) {
-    double s = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      if (!mask[static_cast<std::size_t>(j)]) continue;
-      s += static_cast<double>(c_(k, j)) * c_(k, j);
-    }
-    cnorm[static_cast<std::size_t>(k)] = std::sqrt(s);
-  }
-  Tensor sim(Shape{n, k_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      if (!mask[static_cast<std::size_t>(j)]) continue;
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
-    for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        if (!mask[static_cast<std::size_t>(j)]) continue;
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-      }
-      const double denom = hnorm * cnorm[static_cast<std::size_t>(k)];
-      sim(i, k) = denom > 0.0 ? static_cast<float>(dot / denom) : 0.0F;
-    }
-  }
-  return sim;
+  const std::vector<float> hm = gather_columns(h.data().data(), n, d_, kept);
+  const std::vector<float> cm = gather_columns(c_.data().data(), k_, d_, kept);
+  return cosine_similarities(hm.data(), n, cm.data(), k_,
+                             static_cast<std::int64_t>(kept.size()));
 }
 
 std::vector<std::int64_t> HdClassifier::predict(const Tensor& h) const {
   const Tensor sim = similarities(h);
-  std::vector<std::int64_t> out(static_cast<std::size_t>(sim.dim(0)));
-  for (std::int64_t i = 0; i < sim.dim(0); ++i) {
+  const std::int64_t n = sim.dim(0);
+  const float* sp = sim.data().data();
+  std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* si = sp + i * k_;
     std::int64_t best = 0;
-    float best_v = sim(i, 0);
+    float best_v = si[0];
     for (std::int64_t k = 1; k < k_; ++k) {
-      if (sim(i, k) > best_v) {
-        best_v = sim(i, k);
+      if (si[k] > best_v) {
+        best_v = si[k];
         best = k;
       }
     }
@@ -125,33 +188,44 @@ std::int64_t HdClassifier::refine_epoch(const Tensor& h,
   check_batch(h, d_);
   FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
               "refine labels size mismatch");
+  const float* hp = h.data().data();
+  float* c = c_.data().data();
+  // Prototype norms, computed once and then only for the rows an update
+  // touches — the same j-order sums a fresh pass would form.
+  std::vector<double> cn = row_squared_norms(c, k_, d_);
+  std::vector<double> dots(static_cast<std::size_t>(k_));
   std::int64_t updates = 0;
   // Sequential (online) refinement: each update immediately affects later
   // predictions, as in standard HD retraining.
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
+    check_label(y, k_);
+    const float* hi = hp + i * d_;
     // Predict this single row against current prototypes.
+    for_each_dot(hi, c, k_, d_, [&](std::int64_t k, double dot) {
+      dots[static_cast<std::size_t>(k)] = dot;
+    });
     std::int64_t best = 0;
     double best_sim = -2.0;
     for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0, cn = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-        cn += static_cast<double>(c_(k, j)) * c_(k, j);
-      }
-      const double sim = cn > 0.0 ? dot / std::sqrt(cn) : 0.0;
+      const double ck = cn[static_cast<std::size_t>(k)];
+      const double sim =
+          ck > 0.0 ? dots[static_cast<std::size_t>(k)] / std::sqrt(ck) : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = k;
       }
     }
     if (best != y) {
+      float* cy = c + y * d_;
+      float* cb = c + best * d_;
       for (std::int64_t j = 0; j < d_; ++j) {
-        const float v = lr * h(i, j);
-        c_(y, j) += v;
-        c_(best, j) -= v;
+        const float v = lr * hi[j];
+        cy[j] += v;
+        cb[j] -= v;
       }
+      cn[static_cast<std::size_t>(y)] = squared_norm(cy, d_);
+      cn[static_cast<std::size_t>(best)] = squared_norm(cb, d_);
       ++updates;
     }
   }
@@ -163,26 +237,26 @@ std::int64_t HdClassifier::refine_epoch_adaptive(
   check_batch(h, d_);
   FHDNN_CHECK(static_cast<std::int64_t>(labels.size()) == h.dim(0),
               "refine labels size mismatch");
+  const float* hp = h.data().data();
+  float* c = c_.data().data();
+  std::vector<double> cn = row_squared_norms(c, k_, d_);
+  std::vector<double> dots(static_cast<std::size_t>(k_));
   std::int64_t updates = 0;
   for (std::int64_t i = 0; i < h.dim(0); ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    FHDNN_CHECK(y >= 0 && y < k_, "label " << y << " out of range " << k_);
+    check_label(y, k_);
+    const float* hi = hp + i * d_;
     // Cosine similarity of this row against every prototype.
-    double hnorm = 0.0;
-    for (std::int64_t j = 0; j < d_; ++j) {
-      hnorm += static_cast<double>(h(i, j)) * h(i, j);
-    }
-    hnorm = std::sqrt(hnorm);
+    const double hnorm = std::sqrt(squared_norm(hi, d_));
+    for_each_dot(hi, c, k_, d_, [&](std::int64_t k, double dot) {
+      dots[static_cast<std::size_t>(k)] = dot;
+    });
     std::int64_t best = 0;
     double best_sim = -2.0, y_sim = 0.0;
     for (std::int64_t k = 0; k < k_; ++k) {
-      double dot = 0.0, cn = 0.0;
-      for (std::int64_t j = 0; j < d_; ++j) {
-        dot += static_cast<double>(h(i, j)) * c_(k, j);
-        cn += static_cast<double>(c_(k, j)) * c_(k, j);
-      }
-      const double denom = hnorm * std::sqrt(cn);
-      const double sim = denom > 0.0 ? dot / denom : 0.0;
+      const double denom = hnorm * std::sqrt(cn[static_cast<std::size_t>(k)]);
+      const double sim =
+          denom > 0.0 ? dots[static_cast<std::size_t>(k)] / denom : 0.0;
       if (sim > best_sim) {
         best_sim = sim;
         best = k;
@@ -192,10 +266,14 @@ std::int64_t HdClassifier::refine_epoch_adaptive(
     if (best != y) {
       const float gain_y = lr * static_cast<float>(1.0 - y_sim);
       const float gain_b = lr * static_cast<float>(1.0 - best_sim);
+      float* cy = c + y * d_;
+      float* cb = c + best * d_;
       for (std::int64_t j = 0; j < d_; ++j) {
-        c_(y, j) += gain_y * h(i, j);
-        c_(best, j) -= gain_b * h(i, j);
+        cy[j] += gain_y * hi[j];
+        cb[j] -= gain_b * hi[j];
       }
+      cn[static_cast<std::size_t>(y)] = squared_norm(cy, d_);
+      cn[static_cast<std::size_t>(best)] = squared_norm(cb, d_);
       ++updates;
     }
   }

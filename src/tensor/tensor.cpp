@@ -1,7 +1,6 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -83,88 +82,27 @@ std::int64_t Tensor::dim(std::int64_t i) const {
   return shape_[static_cast<std::size_t>(i)];
 }
 
-float& Tensor::at(std::int64_t i) {
-// Re-validated in debug and in FHDNN_CHECKED contract builds; plain
-// release builds keep only the bounds FHDNN_CHECK below.
-#if !defined(NDEBUG) || defined(FHDNN_CHECKED)
-  assert_invariant();
-#endif
-  FHDNN_CHECK(i >= 0 && i < numel(), "flat index " << i << " out of range "
-                                                   << numel());
-  return data_[static_cast<std::size_t>(i)];
+void Tensor::throw_flat_range(std::int64_t i) const {
+  std::ostringstream os;
+  os << "flat index " << i << " out of range " << numel();
+  detail::throw_check_failure("i >= 0 && i < numel()", __FILE__, __LINE__,
+                              os.str());
 }
 
-float Tensor::at(std::int64_t i) const {
-// Re-validated in debug and in FHDNN_CHECKED contract builds; plain
-// release builds keep only the bounds FHDNN_CHECK below.
-#if !defined(NDEBUG) || defined(FHDNN_CHECKED)
-  assert_invariant();
-#endif
-  FHDNN_CHECK(i >= 0 && i < numel(), "flat index " << i << " out of range "
-                                                   << numel());
-  return data_[static_cast<std::size_t>(i)];
+void Tensor::throw_rank(std::size_t n) const {
+  std::ostringstream os;
+  os << "indexing " << shape_to_string(shape_) << " with " << n
+     << " indices";
+  detail::throw_check_failure("idx.size() == ndim()", __FILE__, __LINE__,
+                              os.str());
 }
 
-std::int64_t Tensor::flat_index(std::span<const std::int64_t> idx) const {
-// Re-validated in debug and in FHDNN_CHECKED contract builds; plain
-// release builds keep only the bounds FHDNN_CHECK below.
-#if !defined(NDEBUG) || defined(FHDNN_CHECKED)
-  assert_invariant();
-#endif
-  FHDNN_CHECK(static_cast<std::int64_t>(idx.size()) == ndim(),
-              "indexing " << shape_to_string(shape_) << " with " << idx.size()
-                          << " indices");
-  std::int64_t flat = 0;
-  for (std::size_t d = 0; d < idx.size(); ++d) {
-    FHDNN_CHECK(idx[d] >= 0 && idx[d] < shape_[d],
-                "index " << idx[d] << " out of range for dim " << d << " of "
-                         << shape_to_string(shape_));
-    flat = flat * shape_[d] + idx[d];
-  }
-  return flat;
-}
-
-float& Tensor::operator()(std::int64_t i0) {
-  const std::array<std::int64_t, 1> idx{i0};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float& Tensor::operator()(std::int64_t i0, std::int64_t i1) {
-  const std::array<std::int64_t, 2> idx{i0, i1};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float& Tensor::operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2) {
-  const std::array<std::int64_t, 3> idx{i0, i1, i2};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float& Tensor::operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-                          std::int64_t i3) {
-  const std::array<std::int64_t, 4> idx{i0, i1, i2, i3};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float Tensor::operator()(std::int64_t i0) const {
-  const std::array<std::int64_t, 1> idx{i0};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float Tensor::operator()(std::int64_t i0, std::int64_t i1) const {
-  const std::array<std::int64_t, 2> idx{i0, i1};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float Tensor::operator()(std::int64_t i0, std::int64_t i1,
-                         std::int64_t i2) const {
-  const std::array<std::int64_t, 3> idx{i0, i1, i2};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
-}
-
-float Tensor::operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-                         std::int64_t i3) const {
-  const std::array<std::int64_t, 4> idx{i0, i1, i2, i3};
-  return data_[static_cast<std::size_t>(flat_index(idx))];
+void Tensor::throw_index_range(std::int64_t i, std::size_t d) const {
+  std::ostringstream os;
+  os << "index " << i << " out of range for dim " << d << " of "
+     << shape_to_string(shape_);
+  detail::throw_check_failure("idx[d] >= 0 && idx[d] < shape_[d]", __FILE__,
+                              __LINE__, os.str());
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {

@@ -6,6 +6,7 @@
 // Heavy math lives in tensor/ops.hpp and tensor/conv.hpp as free functions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -59,21 +60,35 @@ class Tensor {
   std::vector<float>& vec() { return data_; }
   const std::vector<float>& vec() const { return data_; }
 
-  /// Flat element access, bounds-checked.
-  float& at(std::int64_t i);
-  float at(std::int64_t i) const;
+  /// Flat element access, bounds-checked in every build type. The fast
+  /// path is inline; only the throwing path is out of line.
+  float& at(std::int64_t i) { return data_[checked_flat(i)]; }
+  float at(std::int64_t i) const { return data_[checked_flat(i)]; }
 
-  /// Multi-dimensional access, bounds-checked, up to 4 indices.
-  float& operator()(std::int64_t i0);
-  float& operator()(std::int64_t i0, std::int64_t i1);
-  float& operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2);
+  /// Multi-dimensional access, rank- and bounds-checked in every build
+  /// type, up to 4 indices.
+  float& operator()(std::int64_t i0) { return data_[flat_index(i0)]; }
+  float& operator()(std::int64_t i0, std::int64_t i1) {
+    return data_[flat_index(i0, i1)];
+  }
+  float& operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2) {
+    return data_[flat_index(i0, i1, i2)];
+  }
   float& operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-                    std::int64_t i3);
-  float operator()(std::int64_t i0) const;
-  float operator()(std::int64_t i0, std::int64_t i1) const;
-  float operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2) const;
+                    std::int64_t i3) {
+    return data_[flat_index(i0, i1, i2, i3)];
+  }
+  float operator()(std::int64_t i0) const { return data_[flat_index(i0)]; }
+  float operator()(std::int64_t i0, std::int64_t i1) const {
+    return data_[flat_index(i0, i1)];
+  }
+  float operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2) const {
+    return data_[flat_index(i0, i1, i2)];
+  }
   float operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-                   std::int64_t i3) const;
+                   std::int64_t i3) const {
+    return data_[flat_index(i0, i1, i2, i3)];
+  }
 
   /// Return a tensor with the same data and a new shape (numel must match).
   Tensor reshaped(Shape new_shape) const;
@@ -111,7 +126,40 @@ class Tensor {
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
  private:
-  std::int64_t flat_index(std::span<const std::int64_t> idx) const;
+  // Re-validated in debug and in FHDNN_CHECKED contract builds; plain
+  // release builds keep only the bounds checks of the accessors.
+  void revalidate() const {
+#if !defined(NDEBUG) || defined(FHDNN_CHECKED)
+    assert_invariant();
+#endif
+  }
+
+  std::size_t checked_flat(std::int64_t i) const {
+    revalidate();
+    if (i < 0 || i >= numel()) [[unlikely]] throw_flat_range(i);
+    return static_cast<std::size_t>(i);
+  }
+
+  template <typename... I>
+  std::size_t flat_index(I... i) const {
+    revalidate();
+    constexpr std::size_t n = sizeof...(I);
+    const std::int64_t idx[n] = {i...};
+    if (shape_.size() != n) [[unlikely]] throw_rank(n);
+    std::int64_t flat = 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      if (idx[d] < 0 || idx[d] >= shape_[d]) [[unlikely]] {
+        throw_index_range(idx[d], d);
+      }
+      flat = flat * shape_[d] + idx[d];
+    }
+    return static_cast<std::size_t>(flat);
+  }
+
+  // Cold failure paths of the accessors; each throws fhdnn::Error.
+  [[noreturn]] void throw_flat_range(std::int64_t i) const;
+  [[noreturn]] void throw_rank(std::size_t n) const;
+  [[noreturn]] void throw_index_range(std::int64_t i, std::size_t d) const;
 
   Shape shape_;
   std::vector<float> data_;

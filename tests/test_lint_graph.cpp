@@ -21,9 +21,10 @@ namespace {
 
 using Sources = std::vector<std::pair<std::string, std::string>>;
 
-std::vector<lint::Diagnostic> run(const Sources& sources) {
+std::vector<lint::Diagnostic> run(const Sources& sources,
+                                  std::string_view root = {}) {
   static const auto rules = lint::default_graph_rules();
-  return lint::lint_program_sources(sources, rules);
+  return lint::lint_program_sources(sources, rules, root);
 }
 
 int count_rule(const std::vector<lint::Diagnostic>& diags,
@@ -319,6 +320,67 @@ TEST(IncludeGraphHygiene, SuppressedViolationIsSilent) {
        "int helper_fn();\n"},
   });
   EXPECT_EQ(count_rule(diags, "include-graph-hygiene"), 0);
+}
+
+// ---- checkout-path independence ------------------------------------------
+
+// A checkout under an ancestor directory named src/: guessing the repo path
+// from the first "/src/" would file every source under a bogus "checkout"
+// module. Anchored on the root, the tree lints exactly as it would anywhere.
+const std::string kNestedRoot = "/work/src/checkout";
+
+TEST(RepoRoot, RelativeToRoot) {
+  EXPECT_EQ(lint::relative_to_root(kNestedRoot + "/src/fl/loop.hpp",
+                                   kNestedRoot),
+            "src/fl/loop.hpp");
+  EXPECT_EQ(lint::relative_to_root(kNestedRoot + "/tests/t.cpp",
+                                   kNestedRoot + "/"),
+            "tests/t.cpp");
+  // Outside the root, a sibling sharing its prefix, or no root at all.
+  EXPECT_EQ(lint::relative_to_root("/elsewhere/src/x.cpp", kNestedRoot), "");
+  EXPECT_EQ(lint::relative_to_root(kNestedRoot + "2/src/x.cpp", kNestedRoot),
+            "");
+  EXPECT_EQ(lint::relative_to_root(kNestedRoot + "/src/x.cpp", ""), "");
+}
+
+TEST(RepoRoot, NestedSrcCheckoutGraphRules) {
+  const auto diags = run(
+      {
+          {kNestedRoot + "/src/util/timing.hpp",
+           "#pragma once\n"
+           "namespace fhdnn::util { int tick(); }\n"},
+          {kNestedRoot + "/src/fl/loop.hpp",
+           "#pragma once\n"
+           "#include \"util/timing.hpp\"\n"
+           "namespace fhdnn::fl { int spin() { return fhdnn::util::tick(); } "
+           "}\n"},
+          {kNestedRoot + "/src/util/bad.hpp",
+           "#pragma once\n"
+           "#include \"fl/loop.hpp\"\n"
+           "namespace fhdnn::util { int bad() { return fhdnn::fl::spin(); } "
+           "}\n"},
+      },
+      kNestedRoot);
+  // Exactly the one real violation: util including fl.
+  ASSERT_EQ(diags.size(), 1U);
+  EXPECT_EQ(diags[0].rule, "layer-dag");
+  EXPECT_EQ(diags[0].path, kNestedRoot + "/src/util/bad.hpp");
+  EXPECT_EQ(diags[0].line, 2);
+}
+
+TEST(RepoRoot, NestedSrcCheckoutPathScopedRules) {
+  const auto rules = lint::default_rules();
+  const auto lint_nested = [&](const std::string& rel, std::string_view src) {
+    lint::SourceFile f = lint::scan_source(kNestedRoot + "/" + rel, src);
+    f.root_relative = lint::relative_to_root(f.path, kNestedRoot);
+    std::vector<lint::Diagnostic> out;
+    lint::lint_file(f, rules, out);
+    return count_rule(out, "simd-isolation");
+  };
+  // Intrinsics are sanctioned in src/util/simd* and nowhere else.
+  EXPECT_EQ(lint_nested("src/util/simd_avx2.cpp", "#include <immintrin.h>\n"),
+            0);
+  EXPECT_EQ(lint_nested("src/hdc/packed.cpp", "#include <immintrin.h>\n"), 1);
 }
 
 // ---- --json schema -------------------------------------------------------

@@ -400,11 +400,13 @@ void lint_program(const Program& program,
 
 std::vector<Diagnostic> lint_program_sources(
     const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::vector<std::unique_ptr<GraphRule>>& rules) {
+    const std::vector<std::unique_ptr<GraphRule>>& rules,
+    std::string_view root) {
   std::vector<SourceFile> files;
   files.reserve(sources.size());
   for (const auto& [path, content] : sources) {
     files.push_back(scan_source(path, content));
+    files.back().root_relative = relative_to_root(path, root);
   }
   std::vector<Diagnostic> out;
   lint_program(build_program(std::move(files)), rules, out);

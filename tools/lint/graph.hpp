@@ -146,11 +146,12 @@ void lint_program(const Program& program,
                   const std::vector<std::unique_ptr<GraphRule>>& rules,
                   std::vector<Diagnostic>& out);
 
-/// Convenience for tests: scan the (path, content) fixtures, build the
-/// program, and run `rules`.
+/// Convenience for tests: scan the (path, content) fixtures against the
+/// optional repo `root`, build the program, and run `rules`.
 std::vector<Diagnostic> lint_program_sources(
     const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::vector<std::unique_ptr<GraphRule>>& rules);
+    const std::vector<std::unique_ptr<GraphRule>>& rules,
+    std::string_view root = {});
 
 // ---- CI outputs ----------------------------------------------------------
 

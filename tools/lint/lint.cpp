@@ -165,15 +165,25 @@ bool SourceFile::is_header() const {
 }
 
 std::string_view SourceFile::repo_path() const {
+  if (!root_relative.empty()) return root_relative;
   const std::string_view p = path;
   for (const std::string_view top :
        {"src/", "tests/", "bench/", "examples/", "tools/"}) {
     if (p.starts_with(top)) return p;
-    // Also recognize the top dir mid-path ("/root/repo/src/...").
+    // Also recognize the top dir mid-path ("<checkout>/src/...").
     const std::size_t at = p.find(std::string("/") + std::string(top));
     if (at != std::string_view::npos) return p.substr(at + 1);
   }
   return p;
+}
+
+std::string relative_to_root(std::string_view path, std::string_view root) {
+  while (!root.empty() && root.back() == '/') root.remove_suffix(1);
+  if (root.empty() || path.size() <= root.size() + 1 ||
+      !path.starts_with(root) || path[root.size()] != '/') {
+    return {};
+  }
+  return std::string(path.substr(root.size() + 1));
 }
 
 SourceFile scan_source(std::string path, std::string_view content) {

@@ -45,6 +45,9 @@ struct Diagnostic {
 /// text of each line, for doc-comment rules).
 struct SourceFile {
   std::string path;  ///< forward-slash separated, as passed to the scanner
+  /// Path relative to the explicit repo root (--root), or empty when the
+  /// scanner was given no root or the file lies outside it.
+  std::string root_relative;
   std::vector<std::string> raw;
   std::vector<std::string> code;
   std::vector<std::string> comment;
@@ -54,10 +57,18 @@ struct SourceFile {
   bool suppressed(std::string_view rule, int line) const;
 
   bool is_header() const;
-  /// Path relative to the repo root if a known top-level dir (src/tests/
-  /// bench/examples/tools) appears in it, else the path unchanged.
+  /// Path relative to the repo root. `root_relative` when set; otherwise a
+  /// best-effort guess: the path itself if it starts with a known top-level
+  /// dir (src/tests/bench/examples/tools), else the suffix from the first
+  /// such dir in it (which an ancestor directory of the same name fools —
+  /// pass a root for absolute paths).
   std::string_view repo_path() const;
 };
+
+/// `path` relative to `root` when it lies strictly under it, else "". Both
+/// are compared as forward-slash strings; trailing '/'s on root are ignored
+/// and an empty root (or "/") means none.
+std::string relative_to_root(std::string_view path, std::string_view root);
 
 /// Split `content` into scanned lines (comment/string stripping, raw-string
 /// aware). `path` is attached verbatim.

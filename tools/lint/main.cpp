@@ -1,9 +1,13 @@
 // fhdnn-lint CLI.
 //
 // Usage: fhdnn-lint [--rules=a,b] [--list-rules] [--quiet] [--json]
-//                   [--graph-dot=FILE] <path>...
+//                   [--graph-dot=FILE] [--root=DIR] <path>...
 //
 // Paths may be files or directories (walked recursively for .hpp/.h/.cpp).
+// --root names the repository root: module and path-prefix rules see each
+// file's path relative to it, so the checkout location (even one under an
+// ancestor directory called src/) never changes the result. Without it,
+// repo paths are guessed from the first top-level dir name in each path.
 // Two phases run over the collected set: the per-file rules (rules.cpp),
 // then the whole-program rules (graph_rules.cpp: layer-dag, det-effects,
 // include-graph-hygiene) over the include/call graph of everything
@@ -56,6 +60,15 @@ bool collect(const fs::path& root, std::vector<fs::path>& out) {
   return true;
 }
 
+/// Absolute, lexically normalized, forward-slash form of `p`, so a root and
+/// the files under it compare as plain string prefixes however each was
+/// spelled on the command line.
+std::string absolute_generic(const fs::path& p) {
+  std::error_code ec;
+  const fs::path abs = fs::absolute(p, ec);
+  return (ec ? p : abs).lexically_normal().generic_string();
+}
+
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::stringstream ss(csv);
@@ -68,13 +81,14 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 int usage(std::ostream& os, int code) {
   os << "usage: fhdnn-lint [--rules=a,b] [--list-rules] [--quiet] [--json]\n"
-     << "                  [--graph-dot=FILE] <path>...\n"
+     << "                  [--graph-dot=FILE] [--root=DIR] <path>...\n"
      << "  --rules=a,b      run only the named rules (per-file or "
         "whole-program)\n"
      << "  --list-rules     print the rule catalog and exit\n"
      << "  --quiet          suppress the summary line\n"
      << "  --json           machine-readable diagnostics on stdout\n"
      << "  --graph-dot=FILE write the module include graph as Graphviz\n"
+     << "  --root=DIR       repository root that anchors repo-relative paths\n"
      << "exit codes: 0 clean, 1 violations, 2 usage/IO error\n";
   return code;
 }
@@ -88,6 +102,7 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool json = false;
   std::string graph_dot_path;
+  std::string repo_root;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -99,6 +114,8 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg.starts_with("--graph-dot=")) {
       graph_dot_path = arg.substr(12);
+    } else if (arg.starts_with("--root=")) {
+      repo_root = absolute_generic(arg.substr(7));
     } else if (arg.starts_with("--rules=")) {
       rule_filter = split_csv(arg.substr(8));
     } else if (arg == "--help" || arg == "-h") {
@@ -164,8 +181,13 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    sources.push_back(
-        fhdnn::lint::scan_source(file.generic_string(), buf.str()));
+    fhdnn::lint::SourceFile source =
+        fhdnn::lint::scan_source(file.generic_string(), buf.str());
+    if (!repo_root.empty()) {
+      source.root_relative =
+          fhdnn::lint::relative_to_root(absolute_generic(file), repo_root);
+    }
+    sources.push_back(std::move(source));
     fhdnn::lint::lint_file(sources.back(), rules, diags);
   }
 
