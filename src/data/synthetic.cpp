@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/workspace.hpp"
 
 namespace fhdnn::data {
 
@@ -45,6 +47,9 @@ float eval_template(const std::vector<Wave>& waves, double y, double x,
   return static_cast<float>(v);
 }
 
+/// Samples whose random draws are staged at once by make_synthetic_images.
+constexpr std::int64_t kSampleBlock = 64;
+
 }  // namespace
 
 Dataset make_synthetic_images(const ImageSpec& spec, Rng& rng) {
@@ -66,30 +71,58 @@ Dataset make_synthetic_images(const ImageSpec& spec, Rng& rng) {
   ds.x = Tensor(Shape{spec.n, spec.channels, spec.hw, spec.hw});
   ds.labels.resize(static_cast<std::size_t>(spec.n));
 
+  // Blocks of samples: draw each block's random numbers serially, in the
+  // (i, ch, y, x) order of the original single loop, so the stream is
+  // unchanged; then evaluate the pixels, each a pure function of its draws,
+  // in parallel.
   const double hw = static_cast<double>(spec.hw);
-  for (std::int64_t i = 0; i < spec.n; ++i) {
-    const std::int64_t c = i % spec.classes;  // balanced
-    ds.labels[static_cast<std::size_t>(i)] = c;
-    const double dy = sample_rng.uniform(-spec.shift, spec.shift);
-    const double dx = sample_rng.uniform(-spec.shift, spec.shift);
-    const double amp =
-        1.0 + sample_rng.uniform(-spec.amp_jitter, spec.amp_jitter);
-    for (std::int64_t ch = 0; ch < spec.channels; ++ch) {
-      const auto& waves = templates[static_cast<std::size_t>(c)]
-                                   [static_cast<std::size_t>(ch)];
-      for (std::int64_t y = 0; y < spec.hw; ++y) {
+  const std::int64_t pixels = spec.channels * spec.hw * spec.hw;
+  const std::int64_t block = std::min(kSampleBlock, spec.n);
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  double* jitter = ws.doubles(3 * block);  // dy, dx, amp per sample
+  double* noise = ws.doubles(block * pixels);
+  float* px = ds.x.data().data();
+  for (std::int64_t i0 = 0; i0 < spec.n; i0 += block) {
+    const std::int64_t len = std::min(block, spec.n - i0);
+    for (std::int64_t s = 0; s < len; ++s) {
+      ds.labels[static_cast<std::size_t>(i0 + s)] = (i0 + s) % spec.classes;
+      double* jit = jitter + 3 * s;
+      jit[0] = sample_rng.uniform(-spec.shift, spec.shift);
+      jit[1] = sample_rng.uniform(-spec.shift, spec.shift);
+      jit[2] = 1.0 + sample_rng.uniform(-spec.amp_jitter, spec.amp_jitter);
+      double* nz = noise + s * pixels;
+      for (std::int64_t p = 0; p < pixels; ++p) {
+        nz[p] = sample_rng.normal(0.0, spec.noise);
+      }
+    }
+    // One task per image row (sample, channel, y).
+    parallel::parallel_for(
+        0, len * spec.channels * spec.hw,
+        parallel::grain_for(spec.hw * spec.waves * 32),
+        [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const std::int64_t s = r / (spec.channels * spec.hw);
+        const std::int64_t ch = (r / spec.hw) % spec.channels;
+        const std::int64_t y = r % spec.hw;
+        const std::int64_t c = (i0 + s) % spec.classes;  // balanced
+        const auto& waves = templates[static_cast<std::size_t>(c)]
+                                     [static_cast<std::size_t>(ch)];
+        const double dy = jitter[3 * s], dx = jitter[3 * s + 1];
+        const double amp = jitter[3 * s + 2];
+        const double* nz = noise + r * spec.hw;
+        float* row = px + i0 * pixels + r * spec.hw;
         for (std::int64_t x = 0; x < spec.hw; ++x) {
           // Circular shift via phase offsets (periodic sinusoid templates).
           double v = amp * eval_template(waves, static_cast<double>(y) + dy,
                                          static_cast<double>(x) + dx, hw);
           // Map roughly [-waves, waves] into [0, 1] then perturb.
           v = 0.5 + 0.5 * v / static_cast<double>(spec.waves);
-          v += sample_rng.normal(0.0, spec.noise);
-          ds.x(i, ch, y, x) =
-              static_cast<float>(std::clamp(v, 0.0, 1.0));
+          v += nz[x];
+          row[x] = static_cast<float>(std::clamp(v, 0.0, 1.0));
         }
       }
-    }
+    });
   }
   ds.check();
   return ds;
@@ -166,19 +199,20 @@ Dataset make_isolet_like(const IsoletSpec& spec, Rng& rng) {
   ds.labels.resize(static_cast<std::size_t>(spec.n));
 
   std::vector<float> u(static_cast<std::size_t>(spec.rank));
+  const float* pu = u.data();
+  float* px = ds.x.data().data();
   for (std::int64_t i = 0; i < spec.n; ++i) {
     const std::int64_t c = i % spec.classes;
     ds.labels[static_cast<std::size_t>(i)] = c;
     sample_rng.fill_normal(u, 0.0F, 1.0F);
-    const auto& mu = means[static_cast<std::size_t>(c)];
+    const float* mu = means[static_cast<std::size_t>(c)].data();
+    float* row = px + i * spec.dims;
     for (std::int64_t d = 0; d < spec.dims; ++d) {
-      double v = mu[static_cast<std::size_t>(d)];
-      for (std::int64_t r = 0; r < spec.rank; ++r) {
-        v += loading[static_cast<std::size_t>(d * spec.rank + r)] *
-             u[static_cast<std::size_t>(r)];
-      }
+      const float* load = loading.data() + d * spec.rank;
+      double v = mu[d];
+      for (std::int64_t r = 0; r < spec.rank; ++r) v += load[r] * pu[r];
       v += sample_rng.normal(0.0, spec.noise);
-      ds.x(i, d) = static_cast<float>(v);
+      row[d] = static_cast<float>(v);
     }
   }
   ds.check();

@@ -79,9 +79,14 @@ void FrozenFeatureExtractor::extract_into(const Tensor& images,
     ops::linear_forward_into(flat, expansion_, expansion_bias_, z_);
     for (auto& v : z_.data()) v = std::tanh(v);
     if (standardized_) {
+      const std::int64_t dim = config_.output_dim;
+      const float* mu = mean_.data().data();
+      const float* sc = scale_.data().data();
+      float* pz = z_.data().data();
       for (std::int64_t i = 0; i < len; ++i) {
-        for (std::int64_t j = 0; j < config_.output_dim; ++j) {
-          z_(i, j) = (z_(i, j) - mean_(j)) * scale_(j);
+        float* row = pz + i * dim;
+        for (std::int64_t j = 0; j < dim; ++j) {
+          row[j] = (row[j] - mu[j]) * sc[j];
         }
       }
     }
@@ -102,18 +107,22 @@ void FrozenFeatureExtractor::fit_standardization(
   const Tensor z = extract(calibration_images);
   const std::int64_t n = z.dim(0);
   FHDNN_CHECK(n >= 2, "need at least 2 calibration images");
-  for (std::int64_t j = 0; j < config_.output_dim; ++j) {
+  const std::int64_t dim = config_.output_dim;
+  const float* pz = z.data().data();
+  float* pmean = mean_.data().data();
+  float* pscale = scale_.data().data();
+  for (std::int64_t j = 0; j < dim; ++j) {
     double sum = 0.0, sum_sq = 0.0;
     for (std::int64_t i = 0; i < n; ++i) {
-      const double v = z(i, j);
+      const double v = pz[i * dim + j];
       sum += v;
       sum_sq += v * v;
     }
     const double mu = sum / static_cast<double>(n);
     const double var =
         std::max(0.0, sum_sq / static_cast<double>(n) - mu * mu);
-    mean_(j) = static_cast<float>(mu);
-    scale_(j) = static_cast<float>(1.0 / std::sqrt(var + 1e-6));
+    pmean[j] = static_cast<float>(mu);
+    pscale[j] = static_cast<float>(1.0 / std::sqrt(var + 1e-6));
   }
   standardized_ = true;
 }

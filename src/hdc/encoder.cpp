@@ -13,18 +13,20 @@ RandomProjectionEncoder::RandomProjectionEncoder(std::int64_t feature_dim,
   FHDNN_CHECK(feature_dim > 0 && hd_dim > 0,
               "encoder dims n=" << feature_dim << " d=" << hd_dim);
   // Rows uniform on the unit sphere: draw Gaussian, normalize each row.
+  float* phi = phi_.data().data();
   for (std::int64_t i = 0; i < d_; ++i) {
+    float* row = phi + i * n_;
     double norm_sq = 0.0;
     for (std::int64_t j = 0; j < n_; ++j) {
       const double g = rng.normal();
-      phi_(i, j) = static_cast<float>(g);
+      row[j] = static_cast<float>(g);
       norm_sq += g * g;
     }
     // A d-row of exact zeros has probability 0 but guard anyway.
     const double norm = std::sqrt(norm_sq);
     FHDNN_CHECK(norm > 0.0, "degenerate projection row");
     const float inv = static_cast<float>(1.0 / norm);
-    for (std::int64_t j = 0; j < n_; ++j) phi_(i, j) *= inv;
+    for (std::int64_t j = 0; j < n_; ++j) row[j] *= inv;
   }
 }
 

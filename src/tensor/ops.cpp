@@ -7,6 +7,7 @@
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
+#include "util/workspace.hpp"
 
 namespace fhdnn::ops {
 
@@ -139,6 +140,31 @@ void matmul_accumulate(const float* pa, const float* pb, float* pc,
   });
 }
 
+/// Output rows per matmul_bt task; a task is this many rows of one
+/// 16-column block.
+constexpr std::int64_t kBtRowBlock = 64;
+
+/// Pack rows [0, cols) of `b` (each k floats) into the k x 16 panel
+/// matmul_bt_tile reads: panel[kk*16 + j] = b[j*k + kk], and zeros in the
+/// lanes j >= cols. Those lanes are computed but never stored; zeroing
+/// keeps them off stale arena bytes (denormal or NaN garbage).
+void pack_bt_panel(const float* b, std::int64_t k, std::int64_t cols,
+                   float* panel) {
+  for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
+    float* lane = panel + j;
+    if (j < cols) {
+      const float* brow = b + j * k;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        lane[kk * simd::kTileCols] = brow[kk];
+      }
+    } else {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        lane[kk * simd::kTileCols] = 0.0F;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
@@ -181,25 +207,49 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
               "matmul_bt output shape " << out.shape_string());
   check_no_alias(out, a, "matmul_bt");
   check_no_alias(out, b, "matmul_bt");
+  const std::int64_t row_blocks = (m + kBtRowBlock - 1) / kBtRowBlock;
+  const std::int64_t col_blocks = (n + simd::kTileCols - 1) / simd::kTileCols;
+  const std::int64_t tasks = row_blocks * col_blocks;
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out.data();
-  // Deliberately NOT dispatched: each output element is one sequential
-  // double-precision accumulation, and no lane-parallel kernel can
-  // reproduce that op-for-op (any widening splits the sum order). The
-  // hexfloat goldens pin this exact reduction, so it stays scalar.
-  parallel::parallel_for(0, m, parallel::grain_for(k * n),
-                         [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        double acc = 0.0;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          acc += static_cast<double>(arow[kk]) * brow[kk];
-        }
-        crow[j] = static_cast<float>(acc);
+  // Lanes across outputs, never across k (DESIGN.md §11): every output
+  // element is one double lane of the dispatched tile kernel, starting at
+  // +0.0 and adding the exact products in ascending kk — the sequential
+  // reduction the hexfloat goldens pin, bit for bit under every tier.
+  //
+  // Tasks are (64-row block x 16-column block) pairs, ordered column-block
+  // major so a chunk packs each panel once for all its row blocks. Each
+  // output belongs to one task, so any chunking gives the same bits. At
+  // most one chunk per thread, so the panels (k x 16 floats each) come
+  // from the caller's arena up front and the workers allocate nothing.
+  const std::int64_t slots =
+      parallel::in_parallel_region() ? 1 : parallel::num_threads();
+  const std::int64_t grain = std::max(
+      (tasks + slots - 1) / slots,
+      parallel::grain_for(kBtRowBlock * simd::kTileCols * k));
+  const std::int64_t chunks = (tasks + grain - 1) / grain;
+  const std::int64_t panel_len = k * simd::kTileCols;
+  util::Workspace& ws = util::tls_workspace();
+  const util::Workspace::Scope scope(ws);
+  float* panels = ws.floats(chunks * panel_len);
+  const auto tile = simd::kernels().matmul_bt_tile;
+  parallel::parallel_for(0, tasks, grain,
+                         [&](std::int64_t t0, std::int64_t t1) {
+    float* panel = panels + (t0 / grain) * panel_len;
+    std::int64_t packed = -1;
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t jb = t / row_blocks, ib = t % row_blocks;
+      const std::int64_t j0 = jb * simd::kTileCols;
+      const std::int64_t cols = std::min(simd::kTileCols, n - j0);
+      if (jb != packed) {
+        pack_bt_panel(pb + j0 * k, k, cols, panel);
+        packed = jb;
+      }
+      const std::int64_t i1 = std::min(m, (ib + 1) * kBtRowBlock);
+      for (std::int64_t i = ib * kBtRowBlock; i < i1; i += simd::kTileRows) {
+        tile(pa + i * k, k, std::min(simd::kTileRows, i1 - i), panel, k,
+             pc + i * n + j0, n, cols);
       }
     }
   });
@@ -310,12 +360,14 @@ std::vector<std::int64_t> argmax_rows(const Tensor& logits) {
   check_2d(logits, "argmax_rows");
   const std::int64_t n = logits.dim(0), c = logits.dim(1);
   std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+  const float* pl = logits.data().data();
   for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = pl + i * c;
     std::int64_t best = 0;
-    float best_v = logits(i, 0);
+    float best_v = row[0];
     for (std::int64_t j = 1; j < c; ++j) {
-      if (logits(i, j) > best_v) {
-        best_v = logits(i, j);
+      if (row[j] > best_v) {
+        best_v = row[j];
         best = j;
       }
     }

@@ -1,5 +1,6 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -30,6 +31,38 @@ void sub_scalar(float* out, const float* a, const float* b, std::int64_t n) {
 
 void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+}
+
+// Register-tiled like the SIMD tiers: each 4 x 4 block of the tile keeps
+// sixteen double accumulators live, so independent add chains hide the add
+// latency. Every accumulator is still one output's sequential sum.
+void matmul_bt_tile_scalar(const float* a, std::int64_t lda, std::int64_t rows,
+                           const float* panel, std::int64_t k, float* c,
+                           std::int64_t ldc, std::int64_t cols) {
+  constexpr std::int64_t kBlock = 4;
+  const float* ar[kTileRows];
+  for (std::int64_t r = 0; r < kTileRows; ++r) {
+    // Rows past `rows` recompute row 0 and are never stored.
+    ar[r] = a + (r < rows ? r : 0) * lda;
+  }
+  for (std::int64_t j0 = 0; j0 < cols; j0 += kBlock) {
+    double acc[kTileRows][kBlock] = {};
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float* p = panel + kk * kTileCols + j0;
+      for (std::int64_t r = 0; r < kTileRows; ++r) {
+        const double av = static_cast<double>(ar[r][kk]);
+        for (std::int64_t j = 0; j < kBlock; ++j) {
+          acc[r][j] += av * static_cast<double>(p[j]);
+        }
+      }
+    }
+    const std::int64_t jn = std::min(kBlock, cols - j0);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = 0; j < jn; ++j) {
+        c[r * ldc + j0 + j] = static_cast<float>(acc[r][j]);
+      }
+    }
+  }
 }
 
 void pack_signs_scalar(const float* src, std::uint64_t* dst,
@@ -75,10 +108,10 @@ std::uint64_t hamming_words_scalar(const std::uint64_t* a,
 }
 
 constexpr Kernels kScalar = {
-    axpy_scalar,         scale_scalar,        add_scalar,
-    sub_scalar,          mul_scalar,          pack_signs_scalar,
-    unpack_signs_scalar, xor_words_scalar,    popcount_words_scalar,
-    hamming_words_scalar,
+    axpy_scalar,           scale_scalar,          add_scalar,
+    sub_scalar,            mul_scalar,            matmul_bt_tile_scalar,
+    pack_signs_scalar,     unpack_signs_scalar,   xor_words_scalar,
+    popcount_words_scalar, hamming_words_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -90,6 +123,9 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->add_f32 != nullptr) out.add_f32 = tier->add_f32;
   if (tier->sub_f32 != nullptr) out.sub_f32 = tier->sub_f32;
   if (tier->mul_f32 != nullptr) out.mul_f32 = tier->mul_f32;
+  if (tier->matmul_bt_tile != nullptr) {
+    out.matmul_bt_tile = tier->matmul_bt_tile;
+  }
   if (tier->pack_signs != nullptr) out.pack_signs = tier->pack_signs;
   if (tier->unpack_signs != nullptr) out.unpack_signs = tier->unpack_signs;
   if (tier->xor_words != nullptr) out.xor_words = tier->xor_words;

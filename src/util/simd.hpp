@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernels for the two hot data representations
-// (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops) and
-// bit-packed hypervector words (pack, XOR-bind, popcount hamming).
+// (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops and
+// the matmul_bt register tile) and bit-packed hypervector words (pack,
+// XOR-bind, popcount hamming).
 //
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
@@ -15,9 +16,12 @@
 //     element as the scalar tier — vector lanes map 1:1 onto independent
 //     output elements, multiplies and adds are emitted as separate
 //     instructions (the SIMD TUs compile with -ffp-contract=off and no
-//     FMA), and there are no reassociated reductions;
+//     FMA), and there are no reassociated reductions. A reduction is
+//     vectorized only across outputs: matmul_bt_tile gives each output
+//     element its own double lane and walks k sequentially in every lane;
 //   * bit kernels are integer arithmetic, exact by construction.
-// tests/test_packed.cpp pins every tier's output against the scalar tier
+// tests/test_packed.cpp (row and bit kernels) and tests/test_matmul_exact.cpp
+// (the matmul_bt tile) pin every tier's output against the scalar tier
 // bit-for-bit, including NaN/Inf/-0.0 payloads.
 //
 // These kernels take raw pointers, not Tensor views: they are the innermost
@@ -30,6 +34,11 @@
 #include "util/cpu.hpp"
 
 namespace fhdnn::simd {
+
+/// matmul_bt_tile geometry: output rows per tile and panel width (output
+/// columns per tile, one SIMD lane per column).
+inline constexpr std::int64_t kTileRows = 4;
+inline constexpr std::int64_t kTileCols = 16;
 
 /// One tier's kernel table. Null entries in a tier table mean "no
 /// accelerated version"; the dispatcher fills them from lower tiers.
@@ -47,6 +56,21 @@ struct Kernels {
   void (*sub_f32)(float* out, const float* a, const float* b, std::int64_t n);
   /// out[i] = a[i] * b[i]. out may alias a and/or b.
   void (*mul_f32)(float* out, const float* a, const float* b, std::int64_t n);
+  /// One register tile of c = a * b^T (the micro-kernel under
+  /// ops::matmul_bt_into). For r < rows and j < cols:
+  ///   c[r*ldc + j] = float(sum_{kk = 0..k-1} double(a[r*lda + kk]) *
+  ///                                          double(panel[kk*16 + j]))
+  /// where each output is its own double lane, starts at +0.0 and adds the
+  /// exact float-by-float products in ascending kk — the sequential scalar
+  /// reduction, op for op. Layout: `a` holds `rows` rows of k floats with
+  /// row stride lda; `panel` is the k x 16 packed panel (panel[kk*16 + j]
+  /// = b[j][kk]; lanes j >= cols are zero-padded by the packer and never
+  /// stored); `c` receives rows x cols floats with row stride ldc.
+  /// Requires 1 <= rows <= kTileRows and 1 <= cols <= kTileCols. c must
+  /// not overlap a or panel; a and panel may overlap each other.
+  void (*matmul_bt_tile)(const float* a, std::int64_t lda, std::int64_t rows,
+                         const float* panel, std::int64_t k, float* c,
+                         std::int64_t ldc, std::int64_t cols);
 
   // ---- bit kernels over packed hypervector words (integer-exact) ----
   /// Pack nbits sign bits: bit i of dst = (src[i] >= 0.0f), the library's

@@ -68,6 +68,61 @@ void mul_avx2(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+/// Store one tile row's 8 converted lanes (lo = columns 0-3, hi = 4-7),
+/// keeping only the first `cols`.
+void store_row_avx2(float* c, __m128 lo, __m128 hi, std::int64_t cols) {
+  if (cols >= 8) {
+    _mm_storeu_ps(c, lo);
+    _mm_storeu_ps(c + 4, hi);
+    return;
+  }
+  alignas(16) float buf[8];
+  _mm_store_ps(buf, lo);
+  _mm_store_ps(buf + 4, hi);
+  for (std::int64_t j = 0; j < cols; ++j) c[j] = buf[j];
+}
+
+/// The 4 x 16 tile as two 4 x 8 halves, eight ymm double accumulators
+/// each (all sixteen would leave no registers for the operands).
+void matmul_bt_tile_avx2(const float* a, std::int64_t lda, std::int64_t rows,
+                         const float* panel, std::int64_t k, float* c,
+                         std::int64_t ldc, std::int64_t cols) {
+  // Rows past `rows` recompute row 0 and are never stored.
+  const float* a0 = a;
+  const float* a1 = a + (rows > 1 ? lda : 0);
+  const float* a2 = a + (rows > 2 ? 2 * lda : 0);
+  const float* a3 = a + (rows > 3 ? 3 * lda : 0);
+  for (std::int64_t h = 0; h * 8 < cols; ++h) {
+    __m256d lo0 = _mm256_setzero_pd(), lo1 = _mm256_setzero_pd();
+    __m256d lo2 = _mm256_setzero_pd(), lo3 = _mm256_setzero_pd();
+    __m256d hi0 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+    __m256d hi2 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float* p = panel + kk * kTileCols + h * 8;
+      const __m256d plo = _mm256_cvtps_pd(_mm_loadu_ps(p));
+      const __m256d phi = _mm256_cvtps_pd(_mm_loadu_ps(p + 4));
+      const __m256d v0 = _mm256_set1_pd(static_cast<double>(a0[kk]));
+      const __m256d v1 = _mm256_set1_pd(static_cast<double>(a1[kk]));
+      const __m256d v2 = _mm256_set1_pd(static_cast<double>(a2[kk]));
+      const __m256d v3 = _mm256_set1_pd(static_cast<double>(a3[kk]));
+      lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(v0, plo));
+      hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(v0, phi));
+      lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(v1, plo));
+      hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(v1, phi));
+      lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(v2, plo));
+      hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(v2, phi));
+      lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(v3, plo));
+      hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(v3, phi));
+    }
+    const __m256d lo[4] = {lo0, lo1, lo2, lo3};
+    const __m256d hi[4] = {hi0, hi1, hi2, hi3};
+    for (std::int64_t r = 0; r < rows; ++r) {
+      store_row_avx2(c + r * ldc + h * 8, _mm256_cvtpd_ps(lo[r]),
+                     _mm256_cvtpd_ps(hi[r]), cols - h * 8);
+    }
+  }
+}
+
 void pack_signs_avx2(const float* src, std::uint64_t* dst,
                      std::int64_t nbits) {
   // _CMP_GE_OQ matches the scalar `v >= 0.0f`: true for +0/-0, false for
@@ -186,10 +241,10 @@ std::uint64_t hamming_words_avx2(const std::uint64_t* a,
 }
 
 constexpr Kernels kAvx2 = {
-    axpy_avx2,         scale_avx2,     add_avx2,
-    sub_avx2,          mul_avx2,       pack_signs_avx2,
-    unpack_signs_avx2, xor_words_avx2, popcount_words_avx2,
-    hamming_words_avx2,
+    axpy_avx2,           scale_avx2,         add_avx2,
+    sub_avx2,            mul_avx2,           matmul_bt_tile_avx2,
+    pack_signs_avx2,     unpack_signs_avx2,  xor_words_avx2,
+    popcount_words_avx2, hamming_words_avx2,
 };
 
 }  // namespace

@@ -1,4 +1,5 @@
-// AVX-512 kernel tier: 16-lane float kernels. Compiled with
+// AVX-512 kernel tier: 16-lane float kernels and a 4 x 16 matmul_bt tile
+// (eight zmm double accumulators). Compiled with
 // -mavx512f -mavx512bw -mno-fma -ffp-contract=off (src/util/CMakeLists.txt)
 // for the same bit-exactness contract as the AVX2 tier — separate multiply
 // and add per element, no reassociated reductions.
@@ -65,6 +66,62 @@ void mul_avx512(float* out, const float* a, const float* b, std::int64_t n) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+/// Store one tile row's converted lanes (lo = columns 0-7, hi = 8-15),
+/// masked to the first `cols`. Lanes 8-15 of each widened half are
+/// undefined and always masked off.
+void store_row_avx512(float* c, __m256 lo, __m256 hi, std::int64_t cols) {
+  const unsigned mask = (1U << cols) - 1U;
+  _mm512_mask_storeu_ps(c, static_cast<__mmask16>(mask & 0xFFU),
+                        _mm512_castps256_ps512(lo));
+  if (cols > 8) {
+    _mm512_mask_storeu_ps(c + 8, static_cast<__mmask16>(mask >> 8U),
+                          _mm512_castps256_ps512(hi));
+  }
+}
+
+/// The 4 x 16 tile: each __m512d lane is one output's double accumulator.
+/// The maskz_ conversion forms with an all-ones mask are the plain
+/// conversions; they sidestep GCC 12's spurious -Wmaybe-uninitialized on
+/// the _mm512_undefined_* pass-through operand of _mm512_cvtps_pd and
+/// _mm512_cvtpd_ps.
+void matmul_bt_tile_avx512(const float* a, std::int64_t lda, std::int64_t rows,
+                           const float* panel, std::int64_t k, float* c,
+                           std::int64_t ldc, std::int64_t cols) {
+  constexpr __mmask8 kAll = 0xFF;
+  // Rows past `rows` recompute row 0 and are never stored.
+  const float* a0 = a;
+  const float* a1 = a + (rows > 1 ? lda : 0);
+  const float* a2 = a + (rows > 2 ? 2 * lda : 0);
+  const float* a3 = a + (rows > 3 ? 3 * lda : 0);
+  __m512d lo0 = _mm512_setzero_pd(), lo1 = _mm512_setzero_pd();
+  __m512d lo2 = _mm512_setzero_pd(), lo3 = _mm512_setzero_pd();
+  __m512d hi0 = _mm512_setzero_pd(), hi1 = _mm512_setzero_pd();
+  __m512d hi2 = _mm512_setzero_pd(), hi3 = _mm512_setzero_pd();
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* p = panel + kk * kTileCols;
+    const __m512d plo = _mm512_maskz_cvtps_pd(kAll, _mm256_loadu_ps(p));
+    const __m512d phi = _mm512_maskz_cvtps_pd(kAll, _mm256_loadu_ps(p + 8));
+    const __m512d v0 = _mm512_set1_pd(static_cast<double>(a0[kk]));
+    const __m512d v1 = _mm512_set1_pd(static_cast<double>(a1[kk]));
+    const __m512d v2 = _mm512_set1_pd(static_cast<double>(a2[kk]));
+    const __m512d v3 = _mm512_set1_pd(static_cast<double>(a3[kk]));
+    lo0 = _mm512_add_pd(lo0, _mm512_mul_pd(v0, plo));
+    hi0 = _mm512_add_pd(hi0, _mm512_mul_pd(v0, phi));
+    lo1 = _mm512_add_pd(lo1, _mm512_mul_pd(v1, plo));
+    hi1 = _mm512_add_pd(hi1, _mm512_mul_pd(v1, phi));
+    lo2 = _mm512_add_pd(lo2, _mm512_mul_pd(v2, plo));
+    hi2 = _mm512_add_pd(hi2, _mm512_mul_pd(v2, phi));
+    lo3 = _mm512_add_pd(lo3, _mm512_mul_pd(v3, plo));
+    hi3 = _mm512_add_pd(hi3, _mm512_mul_pd(v3, phi));
+  }
+  const __m512d lo[4] = {lo0, lo1, lo2, lo3};
+  const __m512d hi[4] = {hi0, hi1, hi2, hi3};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    store_row_avx512(c + r * ldc, _mm512_maskz_cvtpd_ps(kAll, lo[r]),
+                     _mm512_maskz_cvtpd_ps(kAll, hi[r]), cols);
+  }
+}
+
 void pack_signs_avx512(const float* src, std::uint64_t* dst,
                        std::int64_t nbits) {
   // One 16-bit compare mask per vector; four vectors fill a 64-bit word.
@@ -106,9 +163,11 @@ void unpack_signs_avx512(const std::uint64_t* src, float* dst,
 }
 
 constexpr Kernels kAvx512 = {
-    axpy_avx512, scale_avx512,      add_avx512,
-    sub_avx512,  mul_avx512,        pack_signs_avx512,
-    unpack_signs_avx512, nullptr /*xor_words: AVX2*/,
+    axpy_avx512,         scale_avx512,
+    add_avx512,          sub_avx512,
+    mul_avx512,          matmul_bt_tile_avx512,
+    pack_signs_avx512,   unpack_signs_avx512,
+    nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,
 };
 

@@ -106,9 +106,59 @@ std::uint64_t hamming_words_neon(const std::uint64_t* a,
   return total;
 }
 
+/// The 4 x 16 tile as four 4 x 4 quarters, eight float64x2_t double
+/// accumulators each.
+void matmul_bt_tile_neon(const float* a, std::int64_t lda, std::int64_t rows,
+                         const float* panel, std::int64_t k, float* c,
+                         std::int64_t ldc, std::int64_t cols) {
+  // Rows past `rows` recompute row 0 and are never stored.
+  const float* a0 = a;
+  const float* a1 = a + (rows > 1 ? lda : 0);
+  const float* a2 = a + (rows > 2 ? 2 * lda : 0);
+  const float* a3 = a + (rows > 3 ? 3 * lda : 0);
+  for (std::int64_t q = 0; q * 4 < cols; ++q) {
+    float64x2_t lo0 = vdupq_n_f64(0.0), lo1 = vdupq_n_f64(0.0);
+    float64x2_t lo2 = vdupq_n_f64(0.0), lo3 = vdupq_n_f64(0.0);
+    float64x2_t hi0 = vdupq_n_f64(0.0), hi1 = vdupq_n_f64(0.0);
+    float64x2_t hi2 = vdupq_n_f64(0.0), hi3 = vdupq_n_f64(0.0);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float32x4_t p = vld1q_f32(panel + kk * kTileCols + q * 4);
+      const float64x2_t plo = vcvt_f64_f32(vget_low_f32(p));
+      const float64x2_t phi = vcvt_high_f64_f32(p);
+      const float64x2_t v0 = vdupq_n_f64(static_cast<double>(a0[kk]));
+      const float64x2_t v1 = vdupq_n_f64(static_cast<double>(a1[kk]));
+      const float64x2_t v2 = vdupq_n_f64(static_cast<double>(a2[kk]));
+      const float64x2_t v3 = vdupq_n_f64(static_cast<double>(a3[kk]));
+      lo0 = vaddq_f64(lo0, vmulq_f64(v0, plo));
+      hi0 = vaddq_f64(hi0, vmulq_f64(v0, phi));
+      lo1 = vaddq_f64(lo1, vmulq_f64(v1, plo));
+      hi1 = vaddq_f64(hi1, vmulq_f64(v1, phi));
+      lo2 = vaddq_f64(lo2, vmulq_f64(v2, plo));
+      hi2 = vaddq_f64(hi2, vmulq_f64(v2, phi));
+      lo3 = vaddq_f64(lo3, vmulq_f64(v3, plo));
+      hi3 = vaddq_f64(hi3, vmulq_f64(v3, phi));
+    }
+    const float64x2_t lo[4] = {lo0, lo1, lo2, lo3};
+    const float64x2_t hi[4] = {hi0, hi1, hi2, hi3};
+    const std::int64_t jn = cols - q * 4 < 4 ? cols - q * 4 : 4;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float32x4_t out = vcvt_high_f32_f64(vcvt_f32_f64(lo[r]), hi[r]);
+      float* dst = c + r * ldc + q * 4;
+      if (jn == 4) {
+        vst1q_f32(dst, out);
+      } else {
+        float buf[4];
+        vst1q_f32(buf, out);
+        for (std::int64_t j = 0; j < jn; ++j) dst[j] = buf[j];
+      }
+    }
+  }
+}
+
 constexpr Kernels kNeon = {
     axpy_neon, scale_neon, add_neon,
-    sub_neon,  mul_neon,   nullptr /*pack_signs: scalar*/,
+    sub_neon,  mul_neon,   matmul_bt_tile_neon,
+    nullptr /*pack_signs: scalar*/,
     nullptr /*unpack_signs: scalar*/, xor_words_neon,
     popcount_words_neon, hamming_words_neon,
 };

@@ -39,11 +39,14 @@ void* Workspace::allocate(std::size_t bytes) {
     ++active_;
   }
   // Warmup growth: each new block at least doubles total capacity so the
-  // arena converges in O(log(model size)) allocations.
+  // arena converges in O(log(model size)) allocations. Blocks are left
+  // uninitialized (scratch is uninitialized by contract), so the unused
+  // part of a doubled block costs address space, not resident memory.
   const std::size_t size =
       std::max({need, static_cast<std::size_t>(stats_.capacity_bytes),
                 kMinBlock});
-  blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size, need});
+  blocks_.push_back(
+      Block{std::make_unique_for_overwrite<std::byte[]>(size), size, need});
   active_ = blocks_.size() - 1;
   ++stats_.heap_allocations;
   stats_.capacity_bytes += size;
@@ -57,6 +60,12 @@ float* Workspace::floats(std::int64_t n) {
   FHDNN_CHECK(n >= 0, "workspace floats(" << n << ")");
   return static_cast<float*>(
       allocate(static_cast<std::size_t>(n) * sizeof(float)));
+}
+
+double* Workspace::doubles(std::int64_t n) {
+  FHDNN_CHECK(n >= 0, "workspace doubles(" << n << ")");
+  return static_cast<double*>(
+      allocate(static_cast<std::size_t>(n) * sizeof(double)));
 }
 
 std::int64_t* Workspace::indices(std::int64_t n) {
@@ -77,7 +86,8 @@ void Workspace::reset() {
     // steady state never needs to hop blocks again.
     const auto total = static_cast<std::size_t>(stats_.capacity_bytes);
     blocks_.clear();
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(total), total, 0});
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(total), total, 0});
     ++stats_.heap_allocations;
   } else if (!blocks_.empty()) {
     blocks_.front().used = 0;

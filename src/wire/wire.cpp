@@ -106,7 +106,11 @@ std::vector<std::uint8_t> encode_frame(
               "frame payload of " << payload.size() << " bytes exceeds cap");
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 4);
+  // Magic via resize + memcpy like put(): GCC 12 flags insert() after
+  // reserve() here with a false -Wstringop-overflow, which fails
+  // FHDNN_WERROR builds.
+  out.resize(sizeof(kMagic));
+  std::memcpy(out.data(), kMagic, sizeof(kMagic));
   put<std::uint16_t>(out, kWireVersion);
   put<std::uint16_t>(out, static_cast<std::uint16_t>(type));
   put<std::uint64_t>(out, payload.size());

@@ -1,12 +1,21 @@
 // Tests for src/data: dataset container, synthetic generators, partitioners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace fhdnn {
 namespace {
@@ -213,6 +222,228 @@ TEST(IsoletLike, SeparationKnobWorks) {
   };
   EXPECT_GT(ncm_accuracy(2.0, 11), ncm_accuracy(0.2, 11));
   EXPECT_GT(ncm_accuracy(2.0, 11), 0.8);
+}
+
+// ------------------------------------------- generators vs serial oracle
+//
+// The generators draw each block's random numbers serially and evaluate the
+// pixels in parallel. The oracle below is a verbatim copy of the former
+// single-loop generators (accessor writes, draws interleaved with the pixel
+// math); the datasets must match it byte for byte at 1 and 4 threads.
+
+namespace oracle {
+
+struct Wave {
+  double fx, fy, phase, amp;
+};
+
+std::vector<std::vector<Wave>> make_template(const data::ImageSpec& spec,
+                                             Rng& rng) {
+  std::vector<std::vector<Wave>> chans(static_cast<std::size_t>(spec.channels));
+  for (auto& waves : chans) {
+    waves.resize(static_cast<std::size_t>(spec.waves));
+    for (auto& w : waves) {
+      w.fx = rng.uniform(0.5, spec.max_frequency);
+      w.fy = rng.uniform(0.5, spec.max_frequency);
+      if (rng.bernoulli(0.5)) w.fx = -w.fx;
+      if (rng.bernoulli(0.5)) w.fy = -w.fy;
+      w.phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      w.amp = rng.uniform(0.5, 1.0);
+    }
+  }
+  return chans;
+}
+
+float eval_template(const std::vector<Wave>& waves, double y, double x,
+                    double hw) {
+  double v = 0.0;
+  for (const auto& w : waves) {
+    v += w.amp * std::sin(2.0 * std::numbers::pi *
+                              (w.fx * x / hw + w.fy * y / hw) +
+                          w.phase);
+  }
+  return static_cast<float>(v);
+}
+
+Dataset make_synthetic_images(const data::ImageSpec& spec, Rng& rng) {
+  Rng tmpl_rng = rng.fork("templates");
+  Rng sample_rng = rng.fork("samples");
+
+  std::vector<std::vector<std::vector<Wave>>> templates;
+  templates.reserve(static_cast<std::size_t>(spec.classes));
+  for (std::int64_t c = 0; c < spec.classes; ++c) {
+    templates.push_back(make_template(spec, tmpl_rng));
+  }
+
+  Dataset ds;
+  ds.num_classes = spec.classes;
+  ds.name = spec.name;
+  ds.x = Tensor(Shape{spec.n, spec.channels, spec.hw, spec.hw});
+  ds.labels.resize(static_cast<std::size_t>(spec.n));
+
+  const double hw = static_cast<double>(spec.hw);
+  for (std::int64_t i = 0; i < spec.n; ++i) {
+    const std::int64_t c = i % spec.classes;  // balanced
+    ds.labels[static_cast<std::size_t>(i)] = c;
+    const double dy = sample_rng.uniform(-spec.shift, spec.shift);
+    const double dx = sample_rng.uniform(-spec.shift, spec.shift);
+    const double amp =
+        1.0 + sample_rng.uniform(-spec.amp_jitter, spec.amp_jitter);
+    for (std::int64_t ch = 0; ch < spec.channels; ++ch) {
+      const auto& waves = templates[static_cast<std::size_t>(c)]
+                                   [static_cast<std::size_t>(ch)];
+      for (std::int64_t y = 0; y < spec.hw; ++y) {
+        for (std::int64_t x = 0; x < spec.hw; ++x) {
+          // Circular shift via phase offsets (periodic sinusoid templates).
+          double v = amp * eval_template(waves, static_cast<double>(y) + dy,
+                                         static_cast<double>(x) + dx, hw);
+          // Map roughly [-waves, waves] into [0, 1] then perturb.
+          v = 0.5 + 0.5 * v / static_cast<double>(spec.waves);
+          v += sample_rng.normal(0.0, spec.noise);
+          ds.x(i, ch, y, x) =
+              static_cast<float>(std::clamp(v, 0.0, 1.0));
+        }
+      }
+    }
+  }
+  ds.check();
+  return ds;
+}
+
+Dataset make_isolet_like(const data::IsoletSpec& spec, Rng& rng) {
+  Rng mean_rng = rng.fork("means");
+  Rng cov_rng = rng.fork("cov");
+  Rng sample_rng = rng.fork("samples");
+
+  std::vector<std::vector<float>> means(static_cast<std::size_t>(spec.classes));
+  for (auto& mu : means) {
+    mu.resize(static_cast<std::size_t>(spec.dims));
+    mean_rng.fill_normal(mu, 0.0F, static_cast<float>(spec.separation));
+  }
+
+  std::vector<float> loading(
+      static_cast<std::size_t>(spec.dims * spec.rank));
+  cov_rng.fill_normal(loading, 0.0F,
+                      1.0F / std::sqrt(static_cast<float>(spec.rank)));
+
+  Dataset ds;
+  ds.num_classes = spec.classes;
+  ds.name = "synthetic-isolet";
+  ds.x = Tensor(Shape{spec.n, spec.dims});
+  ds.labels.resize(static_cast<std::size_t>(spec.n));
+
+  std::vector<float> u(static_cast<std::size_t>(spec.rank));
+  for (std::int64_t i = 0; i < spec.n; ++i) {
+    const std::int64_t c = i % spec.classes;
+    ds.labels[static_cast<std::size_t>(i)] = c;
+    sample_rng.fill_normal(u, 0.0F, 1.0F);
+    const auto& mu = means[static_cast<std::size_t>(c)];
+    for (std::int64_t d = 0; d < spec.dims; ++d) {
+      double v = mu[static_cast<std::size_t>(d)];
+      for (std::int64_t r = 0; r < spec.rank; ++r) {
+        v += loading[static_cast<std::size_t>(d * spec.rank + r)] *
+             u[static_cast<std::size_t>(r)];
+      }
+      v += sample_rng.normal(0.0, spec.noise);
+      ds.x(i, d) = static_cast<float>(v);
+    }
+  }
+  ds.check();
+  return ds;
+}
+
+/// The specs of data::synthetic_mnist / _fashion / _cifar.
+data::ImageSpec image_spec(const std::string& which, std::int64_t n) {
+  data::ImageSpec spec;
+  spec.n = n;
+  spec.classes = 10;
+  if (which == "mnist") {
+    spec.channels = 1;
+    spec.hw = 28;
+    spec.waves = 5;
+    spec.max_frequency = 2.5;
+    spec.shift = 1.5;
+    spec.noise = 0.06;
+    spec.name = "synthetic-mnist";
+  } else if (which == "fashion") {
+    spec.channels = 1;
+    spec.hw = 28;
+    spec.waves = 7;
+    spec.max_frequency = 3.5;
+    spec.shift = 2.0;
+    spec.noise = 0.10;
+    spec.name = "synthetic-fashion";
+  } else {
+    spec.channels = 3;
+    spec.hw = 32;
+    spec.waves = 8;
+    spec.max_frequency = 4.0;
+    spec.shift = 3.0;
+    spec.noise = 0.14;
+    spec.name = "synthetic-cifar";
+  }
+  return spec;
+}
+
+}  // namespace oracle
+
+/// FNV-1a over the pixel bytes, the labels and the class count.
+std::uint64_t dataset_hash(const Dataset& ds) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* p, std::size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < len; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ULL;
+    }
+  };
+  mix(ds.x.data().data(), ds.x.data().size() * sizeof(float));
+  mix(ds.labels.data(), ds.labels.size() * sizeof(std::int64_t));
+  mix(&ds.num_classes, sizeof(ds.num_classes));
+  return h;
+}
+
+class GeneratorOracle : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_threads_ = parallel::num_threads(); }
+  void TearDown() override { parallel::set_num_threads(saved_threads_); }
+  int saved_threads_ = 1;
+};
+
+TEST_F(GeneratorOracle, ImagesMatchSerialOracleAtOneAndFourThreads) {
+  // 150 samples: two full 64-sample blocks and a partial one.
+  const std::int64_t n = 150;
+  const std::pair<std::string, Dataset (*)(std::int64_t, Rng&)> kinds[] = {
+      {"mnist", data::synthetic_mnist},
+      {"fashion", data::synthetic_fashion},
+      {"cifar", data::synthetic_cifar}};
+  for (const auto& [name, make] : kinds) {
+    Rng oracle_rng(4242);
+    const Dataset want =
+        oracle::make_synthetic_images(oracle::image_spec(name, n), oracle_rng);
+    for (const int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      Rng rng(4242);
+      const Dataset got = make(n, rng);
+      EXPECT_EQ(got.x.shape(), want.x.shape()) << name;
+      EXPECT_EQ(got.name, want.name) << name;
+      EXPECT_EQ(dataset_hash(got), dataset_hash(want))
+          << name << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST_F(GeneratorOracle, IsoletMatchesSerialOracleAtOneAndFourThreads) {
+  data::IsoletSpec spec;
+  spec.n = 104;
+  Rng oracle_rng(4343);
+  const Dataset want = oracle::make_isolet_like(spec, oracle_rng);
+  for (const int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    Rng rng(4343);
+    const Dataset got = data::make_isolet_like(spec, rng);
+    EXPECT_EQ(dataset_hash(got), dataset_hash(want))
+        << "isolet at " << threads << " threads";
+  }
 }
 
 // ------------------------------------------------------------ partitioning

@@ -1,0 +1,297 @@
+// Bit-exactness of ops::matmul_bt_into (and linear_forward_into on top of
+// it) against the sequential reduction it replaced.
+//
+// The oracle below is a verbatim copy of the former triple loop: one double
+// accumulator per output, starting at +0.0 and adding
+// double(a[i][kk]) * b[j][kk] for kk = 0..k-1 in order. The production
+// kernel packs 16-column panels, runs a 4 x 16 register tile per SIMD tier
+// and splits a 2-D task grid across the thread pool; none of that may
+// change a single bit. Every comparison is on the float bit pattern, under
+// every tier the CPU supports and at 1 and 4 threads, so NaN payloads and
+// signed zeros count too.
+//
+// The inputs carry NaN, +-Inf, -0.0 rows, denormals, and a +-2^60 pair that
+// cancels exactly only when kk is walked in ascending order (a reversed or
+// reassociated lane absorbs the small middle terms into 2^60 first).
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "tensor/ops.hpp"
+#include "tensor/view.hpp"
+#include "util/cpu.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
+
+namespace fhdnn {
+namespace {
+
+// ---- oracle: the original matmul_bt_into body, run serially -------------
+
+void oracle_matmul_bt(const float* pa, const float* pb, float* pc,
+                      std::int64_t m, std::int64_t k, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    float* crow = pc + i * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* brow = pb + j * k;
+      double acc = 0.0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        acc += static_cast<double>(arow[kk]) * brow[kk];
+      }
+      crow[j] = static_cast<float>(acc);
+    }
+  }
+}
+
+// The rest of the former linear_forward_into: row += 1.0f * bias.
+void oracle_add_bias(const float* pbias, float* py, std::int64_t m,
+                     std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) py[i * n + j] += 1.0F * pbias[j];
+  }
+}
+
+// ---- inputs ---------------------------------------------------------------
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+const float kBig = std::ldexp(1.0F, 60);
+
+/// Rows of `a` by i % 5: the +2^60, -2^60 pair at kk = 0, 1 (so every
+/// tile row position meets it); one NaN; +Inf and -Inf; all -0.0 (the
+/// products sum to +0.0 only from a +0.0 start); denormals.
+std::vector<float> make_a(std::int64_t m, std::int64_t k, Rng& rng) {
+  std::vector<float> a(static_cast<std::size_t>(m * k));
+  rng.fill_normal(a, 0.0F, 1.0F);
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* row = a.data() + i * k;
+    switch (i % 5) {
+      case 0:
+        if (k >= 2) {
+          row[0] = kBig;
+          row[1] = -kBig;
+        }
+        break;
+      case 1:
+        row[k / 2] = kNaN;
+        break;
+      case 2:
+        row[0] = kInf;
+        row[k - 1] = -kInf;
+        break;
+      case 3:
+        for (std::int64_t kk = 0; kk < k; ++kk) row[kk] = -0.0F;
+        break;
+      default:
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          row[kk] = kDenorm * static_cast<float>(kk % 7 + 1) *
+                    (kk % 2 == 0 ? 1.0F : -1.0F);
+        }
+        break;
+    }
+  }
+  return a;
+}
+
+/// Rows of `b` by j % 4: plain; -0.0 and +Inf entries; denormals; one NaN.
+/// Every row repeats its kk = 0 entry at kk = 1, so the 2^60 pair in `a`
+/// cancels exactly in ascending order.
+std::vector<float> make_b(std::int64_t n, std::int64_t k, Rng& rng) {
+  std::vector<float> b(static_cast<std::size_t>(n * k));
+  rng.fill_normal(b, 0.0F, 1.0F);
+  for (std::int64_t j = 0; j < n; ++j) {
+    float* row = b.data() + j * k;
+    switch (j % 4) {
+      case 1:
+        row[k - 1] = -0.0F;
+        if (k > 2) row[2] = kInf;
+        break;
+      case 2:
+        for (std::int64_t kk = 2; kk < k; kk += 3) row[kk] = -kDenorm;
+        break;
+      case 3:
+        row[(k - 1) / 2] = kNaN;
+        break;
+      default:
+        break;
+    }
+    if (k >= 2) row[1] = row[0];
+  }
+  return b;
+}
+
+/// Tiers this CPU can run, scalar first.
+std::vector<util::SimdTier> available_tiers() {
+  std::vector<util::SimdTier> out{util::SimdTier::Scalar};
+  for (const auto t : {util::SimdTier::Neon, util::SimdTier::Avx2,
+                       util::SimdTier::Avx512}) {
+    if (util::set_simd_tier(t) == t) out.push_back(t);
+  }
+  util::set_simd_tier(util::detected_simd());
+  return out;
+}
+
+/// Sentinel written past the output: the kernel must never store there.
+constexpr float kGuard = 12345.0F;
+constexpr std::int64_t kGuardLen = 32;
+
+/// First index where the float bit patterns differ, or -1.
+std::int64_t first_mismatch(const std::vector<float>& got,
+                            const std::vector<float>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i])) {
+      return static_cast<std::int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+using Dims = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+
+class MatmulExact : public ::testing::TestWithParam<Dims> {
+ protected:
+  void SetUp() override {
+    std::tie(m_, n_, k_) = GetParam();
+    Rng rng(static_cast<std::uint64_t>(m_ * 1000003 + n_ * 101 + k_));
+    a_ = make_a(m_, k_, rng);
+    b_ = make_b(n_, k_, rng);
+    bias_.resize(static_cast<std::size_t>(n_));
+    rng.fill_normal(bias_, 0.0F, 1.0F);
+    saved_threads_ = parallel::num_threads();
+  }
+  void TearDown() override {
+    parallel::set_num_threads(saved_threads_);
+    util::set_simd_tier(util::detected_simd());
+  }
+
+  /// Run `op(out_view)` under every tier at 1 and 4 threads; each result
+  /// must match `want` bit for bit and leave the guard untouched.
+  template <typename Op>
+  void expect_exact(const std::vector<float>& want, Op op) {
+    for (const auto tier : available_tiers()) {
+      ASSERT_EQ(util::set_simd_tier(tier), tier);
+      for (const int threads : {1, 4}) {
+        parallel::set_num_threads(threads);
+        std::vector<float> got(want.size() + kGuardLen, kGuard);
+        op(TensorView(got.data(), {m_, n_}));
+        const std::vector<float> guard(
+            got.begin() + static_cast<std::ptrdiff_t>(want.size()), got.end());
+        got.resize(want.size());
+        const std::int64_t at = first_mismatch(got, want);
+        EXPECT_EQ(at, -1)
+            << "tier " << util::simd_tier_name(tier) << ", threads "
+            << threads << ": element (" << at / n_ << ", " << at % n_
+            << ") got " << got[static_cast<std::size_t>(at)] << " want "
+            << want[static_cast<std::size_t>(at)];
+        EXPECT_EQ(guard, std::vector<float>(kGuardLen, kGuard))
+            << "store past the output under tier "
+            << util::simd_tier_name(tier);
+      }
+    }
+  }
+
+  ConstTensorView a_view() const { return {a_.data(), {m_, k_}}; }
+  ConstTensorView b_view() const { return {b_.data(), {n_, k_}}; }
+
+  std::int64_t m_ = 0, n_ = 0, k_ = 0;
+  std::vector<float> a_, b_, bias_;
+  int saved_threads_ = 1;
+};
+
+TEST_P(MatmulExact, MatmulBtAndLinearForward) {
+  std::vector<float> want(static_cast<std::size_t>(m_ * n_));
+  oracle_matmul_bt(a_.data(), b_.data(), want.data(), m_, k_, n_);
+  expect_exact(want, [&](TensorView out) {
+    ops::matmul_bt_into(a_view(), b_view(), out);
+  });
+  oracle_add_bias(bias_.data(), want.data(), m_, n_);
+  expect_exact(want, [&](TensorView out) {
+    ops::linear_forward_into(a_view(), b_view(),
+                             ConstTensorView(bias_.data(), {n_}), out);
+  });
+}
+
+std::string dims_name(const ::testing::TestParamInfo<Dims>& info) {
+  return "m" + std::to_string(std::get<0>(info.param)) + "_n" +
+         std::to_string(std::get<1>(info.param)) + "_k" +
+         std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, MatmulExact,
+    ::testing::Combine(::testing::Values(1, 3, 4, 5, 63, 64, 65, 200),
+                       ::testing::Values(1, 10, 15, 16, 17, 33, 10000),
+                       ::testing::Values(1, 7, 512)),
+    dims_name);
+
+// k = 0 cannot reach matmul_bt_into (views and tensors reject zero dims),
+// so the empty sum is pinned on the tile kernel itself: every tier writes
+// +0.0, the oracle's starting value, and stores nothing past rows x cols.
+TEST(MatmulExactTile, EmptySumIsPositiveZeroUnderEveryTier) {
+  EXPECT_THROW(ConstTensorView(nullptr, {3, 0}), Error);
+  const float panel[simd::kTileCols] = {};
+  const float a[1] = {kNaN};
+  for (const auto tier : available_tiers()) {
+    const auto tile = simd::kernels_for(tier).matmul_bt_tile;
+    for (std::int64_t rows = 1; rows <= simd::kTileRows; ++rows) {
+      for (std::int64_t cols = 1; cols <= simd::kTileCols; ++cols) {
+        constexpr std::int64_t ldc = simd::kTileCols + 3;
+        std::vector<float> c(static_cast<std::size_t>(simd::kTileRows * ldc),
+                             kGuard);
+        tile(a, 0, rows, panel, 0, c.data(), ldc, cols);
+        for (std::int64_t r = 0; r < simd::kTileRows; ++r) {
+          for (std::int64_t j = 0; j < ldc; ++j) {
+            const float want = r < rows && j < cols ? 0.0F : kGuard;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                          c[static_cast<std::size_t>(r * ldc + j)]),
+                      std::bit_cast<std::uint32_t>(want))
+                << util::simd_tier_name(tier) << " rows " << rows << " cols "
+                << cols << " at (" << r << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The special rows really exercise what they claim: NaN and Inf reach the
+// output, the -0.0 row sums to +0.0, and the 2^60 pair leaves the small
+// middle terms instead of a multiple of ulp(2^60).
+TEST(MatmulExactInputs, SpecialRowsReachTheOutput) {
+  const std::int64_t m = 5, n = 4, k = 7;
+  Rng rng(7);
+  const std::vector<float> a = make_a(m, k, rng);
+  const std::vector<float> b = make_b(n, k, rng);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  ops::matmul_bt_into(ConstTensorView(a.data(), {m, k}),
+                      ConstTensorView(b.data(), {n, k}),
+                      TensorView(c.data(), {m, n}));
+  auto at = [&](std::int64_t i, std::int64_t j) {
+    return c[static_cast<std::size_t>(i * n + j)];
+  };
+  EXPECT_TRUE(std::isnan(at(1, 0)));                          // NaN row
+  EXPECT_TRUE(std::isnan(at(2, 0)) || std::isinf(at(2, 0)));  // Inf row
+  EXPECT_TRUE(std::isnan(at(3, 1)));                          // -0.0 x Inf
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(at(3, 0)), 0U);      // +0.0
+  double middle = 0.0;
+  for (std::int64_t kk = 2; kk < k; ++kk) {
+    middle += static_cast<double>(a[static_cast<std::size_t>(kk)]) *
+              b[static_cast<std::size_t>(kk)];
+  }
+  EXPECT_EQ(at(0, 0), static_cast<float>(middle));
+  EXPECT_NE(at(0, 0), 0.0F);
+}
+
+}  // namespace
+}  // namespace fhdnn

@@ -1,7 +1,7 @@
 // Memory-architecture tests (DESIGN.md §9): workspace arena behaviour,
 // bitwise equivalence of every `_into` kernel with its value-returning
 // wrapper, view aliasing policy, and the zero-allocation steady state of a
-// full CNN training step and HD encode. This target links
+// full CNN training step, HD encode and feature extraction. This target links
 // util/alloc_spy.cpp, so operator new/delete are counted process-wide.
 #include <gtest/gtest.h>
 
@@ -419,24 +419,49 @@ TEST(ZeroAlloc, CnnTrainingStepFourThreads) {
   expect_cnn_step_allocation_free(4);
 }
 
+namespace {
+
+/// Warm `step` up, then repeat it: no heap allocation anywhere and no arena
+/// growth on the calling thread, while the arena is still bumped (the
+/// matmul_bt panels are drawn from it, one per chunk, by the caller).
+template <typename Step>
+void expect_steady_state_allocation_free(int threads, Step step) {
+  const ThreadCountGuard guard(threads);
+  step();  // warmup: layer buffers, the arena, and (threaded) the pool
+  step();
+  const auto ws_warm = util::tls_workspace().stats();
+  const auto spy0 = util::alloc_spy_snapshot();
+  for (int i = 0; i < 3; ++i) step();
+  const auto spy1 = util::alloc_spy_snapshot();
+  const auto ws_steady = util::tls_workspace().stats();
+  EXPECT_EQ(spy1.count - spy0.count, 0U)
+      << threads << " threads: steady state allocated "
+      << (spy1.bytes - spy0.bytes) << " bytes in "
+      << (spy1.count - spy0.count) << " calls";
+  EXPECT_EQ(ws_steady.heap_allocations, ws_warm.heap_allocations);
+  EXPECT_EQ(ws_steady.high_water_bytes, ws_warm.high_water_bytes);
+  EXPECT_GT(ws_steady.alloc_calls, ws_warm.alloc_calls)
+      << "the step no longer draws its scratch from the arena";
+}
+
+}  // namespace
+
 TEST(ZeroAlloc, HdEncodeSteadyState) {
   SKIP_IF_SANITIZED();
   Rng rng(910);
   Rng enc_rng = rng.fork("enc");
-  const hdc::RandomProjectionEncoder enc(64, 1024, enc_rng);
-  const Tensor z = Tensor::randn(Shape{16, 64}, rng);
-  Tensor h(Shape{16, 1024});
-  Tensor zr(Shape{16, 64});
-  enc.encode_into(z, h);  // warmup (pool spawn, if any)
-  enc.reconstruct_into(h, zr);
-
-  const auto spy0 = util::alloc_spy_snapshot();
-  for (int i = 0; i < 5; ++i) {
-    enc.encode_into(z, h);
-    enc.reconstruct_into(h, zr);
+  // 70 x 1000 outputs: two 64-row blocks (the second partial) and 63
+  // 16-column blocks (the last 8 wide) through matmul_bt_into.
+  const hdc::RandomProjectionEncoder enc(64, 1000, enc_rng);
+  const Tensor z = Tensor::randn(Shape{70, 64}, rng);
+  Tensor h(Shape{70, 1000});
+  Tensor zr(Shape{70, 64});
+  for (const int threads : {1, 4}) {
+    expect_steady_state_allocation_free(threads, [&] {
+      enc.encode_into(z, h);
+      enc.reconstruct_into(h, zr);
+    });
   }
-  const auto spy1 = util::alloc_spy_snapshot();
-  EXPECT_EQ(spy1.count - spy0.count, 0U);
 }
 
 TEST(ZeroAlloc, FeatureExtractSteadyState) {
@@ -445,19 +470,17 @@ TEST(ZeroAlloc, FeatureExtractSteadyState) {
   cfg.in_channels = 1;
   cfg.image_hw = 16;
   cfg.conv_width = 4;
-  cfg.output_dim = 32;
+  cfg.output_dim = 40;  // two full 16-column blocks and an 8-wide tail
   const features::FrozenFeatureExtractor ext(cfg);
   Rng rng(911);
-  const Tensor imgs = Tensor::randn(Shape{8, 1, 16, 16}, rng);
-  Tensor out(Shape{8, 32});
+  // 70 images: one full extract batch of 64 and a partial one.
+  const Tensor imgs = Tensor::randn(Shape{70, 1, 16, 16}, rng);
+  Tensor out(Shape{70, 40});
   util::tls_workspace().reset();
-  ext.extract_into(imgs, out);  // warmup
-  ext.extract_into(imgs, out);
-
-  const auto spy0 = util::alloc_spy_snapshot();
-  for (int i = 0; i < 3; ++i) ext.extract_into(imgs, out);
-  const auto spy1 = util::alloc_spy_snapshot();
-  EXPECT_EQ(spy1.count - spy0.count, 0U);
+  for (const int threads : {1, 4}) {
+    expect_steady_state_allocation_free(
+        threads, [&] { ext.extract_into(imgs, out); });
+  }
 }
 
 }  // namespace
