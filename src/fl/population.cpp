@@ -1,7 +1,9 @@
 #include "fl/population.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "util/error.hpp"
@@ -68,17 +70,30 @@ std::vector<std::size_t> ClientPopulation::sample(Rng& rng,
   std::vector<std::size_t> out;
   if (k == 0) return out;
   out.reserve(k);
-  // Rejection sampling with a sorted accept list: O(k) memory, expected
-  // O(k log k) draws while k << n (the regime this type exists for; even
-  // k == n terminates — the last acceptance needs ~n draws on average,
-  // giving O(n log n) total, still without an O(n) scratch vector).
+  // Rejection sampling: O(k) memory, expected O(k) draws while k << n (the
+  // regime this type exists for; even k == n terminates — the last
+  // acceptance needs ~n draws on average, giving O(n log n) total, still
+  // without an O(n) scratch vector). Membership is a linear-probing table
+  // at most half full, allocated once; one sort at the end gives the
+  // ascending order callers rely on.
+  std::size_t capacity = 2;
+  while (capacity < 2 * k) capacity <<= 1;
+  const int hash_shift = 64 - std::countr_zero(capacity);
+  constexpr std::size_t kEmpty = SIZE_MAX;  // ids are < n <= SIZE_MAX
+  std::vector<std::size_t> table(capacity, kEmpty);
   while (out.size() < k) {
     const auto c = static_cast<std::size_t>(
         rng.randint(0, static_cast<std::int64_t>(n) - 1));
-    const auto it = std::lower_bound(out.begin(), out.end(), c);
-    if (it != out.end() && *it == c) continue;
-    out.insert(it, c);
+    std::size_t slot = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(c) * 0x9E3779B97F4A7C15ULL) >> hash_shift);
+    while (table[slot] != kEmpty && table[slot] != c) {
+      slot = (slot + 1) & (capacity - 1);
+    }
+    if (table[slot] == c) continue;
+    table[slot] = c;
+    out.push_back(c);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -16,10 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // FNV-1a over a label, used to derive independent sub-streams.
 std::uint64_t hash_label(std::string_view label) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -47,25 +43,6 @@ Rng Rng::fork(std::string_view label) const {
   }
   return Rng(seed);
 }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::randint(std::int64_t lo, std::int64_t hi) {
   FHDNN_CHECK(lo <= hi, "randint range [" << lo << ", " << hi << "]");

@@ -39,13 +39,27 @@ class Rng {
   /// (current state, label); does not perturb this generator.
   [[nodiscard]] Rng fork(std::string_view label) const;
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value (xoshiro256**). Inline with the two uniform()
+  /// draws below: they sit in per-client inner loops.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random bits -> double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// Uniform in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t randint(std::int64_t lo, std::int64_t hi);
   /// Standard normal via Box-Muller (deterministic, platform independent).
@@ -101,6 +115,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   // xoshiro256** state.
   std::uint64_t s_[4];
 

@@ -65,6 +65,29 @@ void matmul_bt_tile_scalar(const float* a, std::int64_t lda, std::int64_t rows,
   }
 }
 
+// One float per element: decode |x| = m * 2^shift quanta, split m << shift
+// at the radix-2^48 digit boundary, add both parts with the float's sign.
+// Branch-free apart from the top-plane guard: the negation is (v ^ s) - s
+// with s = 0 or -1.
+void exact_sum_add_scalar(std::int64_t* planes, std::int64_t stride,
+                          const float* x, std::int64_t n) {
+  constexpr std::uint64_t kMask = (1ULL << kExactSumDigitBits) - 1;
+  for (std::int64_t e = 0; e < n; ++e) {
+    const auto bits = std::bit_cast<std::uint32_t>(x[e]);
+    const std::uint32_t exp = (bits >> 23) & 0xFFU;
+    const std::uint64_t m =
+        (bits & 0x7FFFFFU) | (exp != 0 ? 0x800000U : 0U);
+    const std::uint32_t shift = exp != 0 ? exp - 1 : 0;
+    const std::uint32_t k = shift / kExactSumDigitBits;
+    const std::uint32_t off = shift % kExactSumDigitBits;
+    const auto lo = static_cast<std::int64_t>((m << off) & kMask);
+    const auto hi = static_cast<std::int64_t>(m >> (kExactSumDigitBits - off));
+    const std::int64_t s = -static_cast<std::int64_t>(bits >> 31);
+    planes[k * stride + e] += (lo ^ s) - s;
+    if (k + 1 < kExactSumDigits) planes[(k + 1) * stride + e] += (hi ^ s) - s;
+  }
+}
+
 void pack_signs_scalar(const float* src, std::uint64_t* dst,
                        std::int64_t nbits) {
   const std::int64_t nwords = (nbits + 63) / 64;
@@ -108,10 +131,10 @@ std::uint64_t hamming_words_scalar(const std::uint64_t* a,
 }
 
 constexpr Kernels kScalar = {
-    axpy_scalar,           scale_scalar,          add_scalar,
-    sub_scalar,            mul_scalar,            matmul_bt_tile_scalar,
-    pack_signs_scalar,     unpack_signs_scalar,   xor_words_scalar,
-    popcount_words_scalar, hamming_words_scalar,
+    axpy_scalar,          scale_scalar,          add_scalar,
+    sub_scalar,           mul_scalar,            matmul_bt_tile_scalar,
+    exact_sum_add_scalar, pack_signs_scalar,     unpack_signs_scalar,
+    xor_words_scalar,     popcount_words_scalar, hamming_words_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -126,6 +149,7 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->matmul_bt_tile != nullptr) {
     out.matmul_bt_tile = tier->matmul_bt_tile;
   }
+  if (tier->exact_sum_add != nullptr) out.exact_sum_add = tier->exact_sum_add;
   if (tier->pack_signs != nullptr) out.pack_signs = tier->pack_signs;
   if (tier->unpack_signs != nullptr) out.unpack_signs = tier->unpack_signs;
   if (tier->xor_words != nullptr) out.xor_words = tier->xor_words;

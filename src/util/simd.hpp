@@ -1,7 +1,8 @@
-// Runtime-dispatched SIMD kernels for the two hot data representations
+// Runtime-dispatched SIMD kernels for the hot data representations
 // (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops and
-// the matmul_bt register tile) and bit-packed hypervector words (pack,
-// XOR-bind, popcount hamming).
+// the matmul_bt register tile), the exact-sum digit planes (carry-save
+// float32 accumulation) and bit-packed hypervector words (pack, XOR-bind,
+// popcount hamming).
 //
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
@@ -19,10 +20,11 @@
 //     FMA), and there are no reassociated reductions. A reduction is
 //     vectorized only across outputs: matmul_bt_tile gives each output
 //     element its own double lane and walks k sequentially in every lane;
-//   * bit kernels are integer arithmetic, exact by construction.
-// tests/test_packed.cpp (row and bit kernels) and tests/test_matmul_exact.cpp
-// (the matmul_bt tile) pin every tier's output against the scalar tier
-// bit-for-bit, including NaN/Inf/-0.0 payloads.
+//   * integer and bit kernels are exact by construction.
+// tests/test_packed.cpp (row and bit kernels), tests/test_matmul_exact.cpp
+// (the matmul_bt tile) and tests/test_exactsum.cpp (the digit-plane add)
+// pin every tier's output against the scalar tier bit-for-bit, including
+// NaN/Inf/-0.0 payloads.
 //
 // These kernels take raw pointers, not Tensor views: they are the innermost
 // building blocks underneath the `_into` layer and must stay free of any
@@ -39,6 +41,11 @@ namespace fhdnn::simd {
 /// columns per tile, one SIMD lane per column).
 inline constexpr std::int64_t kTileRows = 4;
 inline constexpr std::int64_t kTileCols = 16;
+
+/// exact_sum_add geometry (util/exactsum.hpp): digit planes per element and
+/// bits per digit. Six radix-2^48 digits span the 277-bit float32 range.
+inline constexpr std::int64_t kExactSumDigits = 6;
+inline constexpr int kExactSumDigitBits = 48;
 
 /// One tier's kernel table. Null entries in a tier table mean "no
 /// accelerated version"; the dispatcher fills them from lower tiers.
@@ -71,6 +78,19 @@ struct Kernels {
   void (*matmul_bt_tile)(const float* a, std::int64_t lda, std::int64_t rows,
                          const float* panel, std::int64_t k, float* c,
                          std::int64_t ldc, std::int64_t cols);
+
+  // ---- integer kernels (exact) ----
+  /// Carry-save add of n finite floats into ExactSumVector digit planes.
+  /// Plane j (j < kExactSumDigits) starts at planes + j*stride; element e
+  /// of plane j is planes[j*stride + e]. |x[e]| = m * 2^shift quanta of
+  /// 2^-149 (m < 2^24, shift <= 253); with k = shift / 48 and
+  /// off = shift % 48, the kernel adds +-((m << off) mod 2^48) to plane k
+  /// and +-(m >> (48 - off)) to plane k + 1 (zero when k is the top
+  /// plane), sign from x[e]. No carries: the caller bounds the pending
+  /// adds so no digit overflows. Every x[e] must be finite; x must not
+  /// overlap the planes.
+  void (*exact_sum_add)(std::int64_t* planes, std::int64_t stride,
+                        const float* x, std::int64_t n);
 
   // ---- bit kernels over packed hypervector words (integer-exact) ----
   /// Pack nbits sign bits: bit i of dst = (src[i] >= 0.0f), the library's

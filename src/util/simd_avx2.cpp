@@ -3,8 +3,8 @@
 // emit separate multiply and add instructions so every output element sees
 // the exact IEEE-754 operation sequence of the scalar oracle — FMA
 // contraction would change results in the last ulp and break the golden
-// histories. The bit kernels (sign-pack via compare+movemask, Muła
-// nibble-LUT popcount) are integer-exact by construction.
+// histories. The integer kernels (exact-sum digit-plane add, sign-pack via
+// compare+movemask, Muła nibble-LUT popcount) are exact by construction.
 //
 // The entire file is guarded by __AVX2__: on non-x86 targets (or when the
 // build system did not pass the flags) the table resolver returns null and
@@ -119,6 +119,86 @@ void matmul_bt_tile_avx2(const float* a, std::int64_t lda, std::int64_t rows,
     for (std::int64_t r = 0; r < rows; ++r) {
       store_row_avx2(c + r * ldc + h * 8, _mm256_cvtpd_ps(lo[r]),
                      _mm256_cvtpd_ps(hi[r]), cols - h * 8);
+    }
+  }
+}
+
+/// Four elements per step, one per 64-bit lane: decode each float into
+/// (k, lo, hi), then visit each plane some nonzero lane touches once —
+/// two planes when the four floats share a digit, as aggregated updates
+/// of one magnitude do — adding lo where k == j and hi where k == j - 1.
+/// k = shift / 48 is (shift * 1366) >> 16, exact for shift <= 253; 48k is
+/// (k << 5) + (k << 4) (AVX2 has no 64-bit multiply); negation is
+/// (v ^ s) - s with s the all-ones sign mask. The tail step decodes a
+/// zero-padded copy of the floats and masks its plane loads and stores.
+void exact_sum_add_avx2(std::int64_t* planes, std::int64_t stride,
+                        const float* x, std::int64_t n) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i three = _mm256_set1_epi64x(3);
+  const __m256i exp_mask = _mm256_set1_epi64x(0xFF);
+  const __m256i man_mask = _mm256_set1_epi64x(0x7FFFFF);
+  const __m256i implicit = _mm256_set1_epi64x(0x800000);
+  const __m256i digit_mask =
+      _mm256_set1_epi64x((1LL << kExactSumDigitBits) - 1);
+  const __m256i radix = _mm256_set1_epi64x(kExactSumDigitBits);
+  const __m256i recip = _mm256_set1_epi64x(1366);
+  const __m256i lane_index = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::int64_t e = 0; e < n; e += 4) {
+    const std::int64_t rem = n - e;
+    const float* src = x + e;
+    float tail[4] = {};
+    if (rem < 4) {
+      for (std::int64_t i = 0; i < rem; ++i) tail[i] = x[e + i];
+      src = tail;
+    }
+    const __m256i bits = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src)));
+    const __m256i exp =
+        _mm256_and_si256(_mm256_srli_epi64(bits, 23), exp_mask);
+    const __m256i normal = _mm256_cmpgt_epi64(exp, zero);
+    const __m256i m = _mm256_or_si256(_mm256_and_si256(bits, man_mask),
+                                      _mm256_and_si256(normal, implicit));
+    const __m256i shift = _mm256_sub_epi64(exp, _mm256_and_si256(normal, one));
+    const __m256i k =
+        _mm256_srli_epi64(_mm256_mul_epu32(shift, recip), 16);
+    const __m256i off = _mm256_sub_epi64(
+        shift, _mm256_add_epi64(_mm256_slli_epi64(k, 5),
+                                _mm256_slli_epi64(k, 4)));
+    const __m256i lo =
+        _mm256_and_si256(_mm256_sllv_epi64(m, off), digit_mask);
+    const __m256i hi =
+        _mm256_srlv_epi64(m, _mm256_sub_epi64(radix, off));
+    const __m256i neg = _mm256_cmpgt_epi64(zero, _mm256_slli_epi64(bits, 32));
+    const __m256i slo = _mm256_sub_epi64(_mm256_xor_si256(lo, neg), neg);
+    const __m256i shi = _mm256_sub_epi64(_mm256_xor_si256(hi, neg), neg);
+    // Planes k and k + 1 of every lane with m != 0, OR-reduced.
+    const __m256i lane_planes = _mm256_andnot_si256(
+        _mm256_cmpeq_epi64(m, zero), _mm256_sllv_epi64(three, k));
+    const __m128i half =
+        _mm_or_si128(_mm256_castsi256_si128(lane_planes),
+                     _mm256_extracti128_si256(lane_planes, 1));
+    auto touched = static_cast<unsigned>(
+        _mm_cvtsi128_si64(_mm_or_si128(half, _mm_unpackhi_epi64(half, half))));
+    for (touched &= (1U << kExactSumDigits) - 1U; touched != 0;
+         touched &= touched - 1) {
+      const std::int64_t j = std::countr_zero(touched);
+      const __m256i delta = _mm256_add_epi64(
+          _mm256_and_si256(_mm256_cmpeq_epi64(k, _mm256_set1_epi64x(j)), slo),
+          _mm256_and_si256(_mm256_cmpeq_epi64(k, _mm256_set1_epi64x(j - 1)),
+                           shi));
+      std::int64_t* p = planes + j * stride + e;
+      if (rem >= 4) {
+        auto* v = reinterpret_cast<__m256i*>(p);
+        _mm256_storeu_si256(v, _mm256_add_epi64(_mm256_loadu_si256(v), delta));
+      } else {
+        auto* q = reinterpret_cast<long long*>(p);
+        const __m256i lanes =
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem), lane_index);
+        _mm256_maskstore_epi64(
+            q, lanes,
+            _mm256_add_epi64(_mm256_maskload_epi64(q, lanes), delta));
+      }
     }
   }
 }
@@ -241,10 +321,10 @@ std::uint64_t hamming_words_avx2(const std::uint64_t* a,
 }
 
 constexpr Kernels kAvx2 = {
-    axpy_avx2,           scale_avx2,         add_avx2,
-    sub_avx2,            mul_avx2,           matmul_bt_tile_avx2,
-    pack_signs_avx2,     unpack_signs_avx2,  xor_words_avx2,
-    popcount_words_avx2, hamming_words_avx2,
+    axpy_avx2,           scale_avx2,          add_avx2,
+    sub_avx2,            mul_avx2,            matmul_bt_tile_avx2,
+    exact_sum_add_avx2,  pack_signs_avx2,     unpack_signs_avx2,
+    xor_words_avx2,      popcount_words_avx2, hamming_words_avx2,
 };
 
 }  // namespace

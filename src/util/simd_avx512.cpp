@@ -1,5 +1,6 @@
-// AVX-512 kernel tier: 16-lane float kernels and a 4 x 16 matmul_bt tile
-// (eight zmm double accumulators). Compiled with
+// AVX-512 kernel tier: 16-lane float kernels, a 4 x 16 matmul_bt tile
+// (eight zmm double accumulators) and the 8-lane exact-sum digit-plane
+// add. Compiled with
 // -mavx512f -mavx512bw -mno-fma -ffp-contract=off (src/util/CMakeLists.txt)
 // for the same bit-exactness contract as the AVX2 tier — separate multiply
 // and add per element, no reassociated reductions.
@@ -14,6 +15,8 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__)
 
 #include <immintrin.h>
+
+#include <bit>
 
 namespace fhdnn::simd::detail {
 
@@ -122,6 +125,84 @@ void matmul_bt_tile_avx512(const float* a, std::int64_t lda, std::int64_t rows,
   }
 }
 
+/// Eight elements per step, one per 64-bit lane: decode each float into
+/// (k, lo, hi), then visit each plane some nonzero lane touches once, with
+/// masked adds (lane adds lo where k == j and hi where k == j - 1) — two
+/// planes when the eight floats share a digit, as aggregated updates of
+/// one magnitude do. The tail step runs the same body on a zero-padded
+/// copy of the floats under a lane mask.
+/// k = shift / 48 is (shift * 1366) >> 16, exact for shift <= 253, and 48k
+/// is (k << 5) + (k << 4): avx512f has no 64-bit multiply (that is DQ).
+/// The maskz_ forms with an all-ones mask are the plain operations; they
+/// sidestep GCC 12's spurious -Wmaybe-uninitialized (see the tile above).
+void exact_sum_add_avx512(std::int64_t* planes, std::int64_t stride,
+                          const float* x, std::int64_t n) {
+  constexpr __mmask8 kAll = 0xFF;
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i exp_mask = _mm512_set1_epi64(0xFF);
+  const __m512i man_mask = _mm512_set1_epi64(0x7FFFFF);
+  const __m512i implicit = _mm512_set1_epi64(0x800000);
+  const __m512i sign_bit = _mm512_set1_epi64(0x80000000LL);
+  const __m512i digit_mask =
+      _mm512_set1_epi64((1LL << kExactSumDigitBits) - 1);
+  const __m512i radix = _mm512_set1_epi64(kExactSumDigitBits);
+  const __m512i recip = _mm512_set1_epi64(1366);
+  const __m512i three = _mm512_set1_epi64(3);
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::int64_t e = 0; e < n; e += 8) {
+    const std::int64_t rem = n - e;
+    const float* src = x + e;
+    float tail[8] = {};
+    __mmask8 lanes = kAll;
+    if (rem < 8) {
+      for (std::int64_t i = 0; i < rem; ++i) tail[i] = x[e + i];
+      src = tail;
+      lanes = static_cast<__mmask8>((1U << rem) - 1U);
+    }
+    const __m512i bits = _mm512_maskz_cvtepu32_epi64(
+        kAll, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)));
+    const __m512i exp =
+        _mm512_and_si512(_mm512_maskz_srli_epi64(kAll, bits, 23), exp_mask);
+    const __mmask8 normal = _mm512_test_epi64_mask(exp, exp);
+    const __m512i man = _mm512_and_si512(bits, man_mask);
+    const __m512i m = _mm512_mask_or_epi64(man, normal, man, implicit);
+    const __m512i shift = _mm512_mask_sub_epi64(exp, normal, exp, one);
+    const __m512i k = _mm512_maskz_srli_epi64(
+        kAll, _mm512_maskz_mul_epu32(kAll, shift, recip), 16);
+    const __m512i off = _mm512_sub_epi64(
+        shift, _mm512_add_epi64(_mm512_maskz_slli_epi64(kAll, k, 5),
+                                _mm512_maskz_slli_epi64(kAll, k, 4)));
+    const __m512i lo = _mm512_and_si512(
+        _mm512_maskz_sllv_epi64(kAll, m, off), digit_mask);
+    const __m512i hi = _mm512_maskz_srlv_epi64(
+        kAll, m, _mm512_sub_epi64(radix, off));
+    const __mmask8 neg = _mm512_test_epi64_mask(bits, sign_bit);
+    const __m512i slo = _mm512_mask_sub_epi64(lo, neg, zero, lo);
+    const __m512i shi = _mm512_mask_sub_epi64(hi, neg, zero, hi);
+    // Planes k and k + 1 of every lane with m != 0, OR-reduced.
+    const __m512i lane_planes = _mm512_maskz_sllv_epi64(
+        _mm512_test_epi64_mask(m, m), three, k);
+    const __m256i half =
+        _mm256_or_si256(_mm512_maskz_extracti64x4_epi64(0xF, lane_planes, 0),
+                        _mm512_maskz_extracti64x4_epi64(0xF, lane_planes, 1));
+    const __m128i quarter = _mm_or_si128(_mm256_castsi256_si128(half),
+                                         _mm256_extracti128_si256(half, 1));
+    auto touched = static_cast<unsigned>(_mm_cvtsi128_si64(
+        _mm_or_si128(quarter, _mm_unpackhi_epi64(quarter, quarter))));
+    for (touched &= (1U << kExactSumDigits) - 1U; touched != 0;
+         touched &= touched - 1) {
+      const std::int64_t j = std::countr_zero(touched);
+      std::int64_t* p = planes + j * stride + e;
+      __m512i d = _mm512_maskz_loadu_epi64(lanes, p);
+      d = _mm512_mask_add_epi64(
+          d, _mm512_cmpeq_epi64_mask(k, _mm512_set1_epi64(j)), d, slo);
+      d = _mm512_mask_add_epi64(
+          d, _mm512_cmpeq_epi64_mask(k, _mm512_set1_epi64(j - 1)), d, shi);
+      _mm512_mask_storeu_epi64(p, lanes, d);
+    }
+  }
+}
+
 void pack_signs_avx512(const float* src, std::uint64_t* dst,
                        std::int64_t nbits) {
   // One 16-bit compare mask per vector; four vectors fill a 64-bit word.
@@ -166,6 +247,7 @@ constexpr Kernels kAvx512 = {
     axpy_avx512,         scale_avx512,
     add_avx512,          sub_avx512,
     mul_avx512,          matmul_bt_tile_avx512,
+    exact_sum_add_avx512,
     pack_signs_avx512,   unpack_signs_avx512,
     nullptr /*xor_words: AVX2*/,
     nullptr /*popcount_words: AVX2*/, nullptr /*hamming_words: AVX2*/,

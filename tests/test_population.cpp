@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/transport.hpp"
@@ -252,6 +253,41 @@ TEST(ClientPopulation, SampleCoversTheWholeIdSpace) {
   const auto picks = pop.sample(rng, 512);
   ASSERT_EQ(picks.size(), 512U);
   for (std::size_t i = 0; i < picks.size(); ++i) EXPECT_EQ(picks[i], i);
+}
+
+/// The sampler's former body, verbatim: rejection with a sorted accept
+/// list and one vector::insert per accepted draw.
+std::vector<std::size_t> sorted_insert_sample(Rng& rng, std::size_t n,
+                                              std::size_t k) {
+  std::vector<std::size_t> out;
+  if (k == 0) return out;
+  out.reserve(k);
+  while (out.size() < k) {
+    const auto c = static_cast<std::size_t>(
+        rng.randint(0, static_cast<std::int64_t>(n) - 1));
+    const auto it = std::lower_bound(out.begin(), out.end(), c);
+    if (it != out.end() && *it == c) continue;
+    out.insert(it, c);
+  }
+  return out;
+}
+
+TEST(ClientPopulation, SampleMatchesTheSortedInsertOracle) {
+  // Same picks and the same stream position afterwards: the draw sequence
+  // (every rejected duplicate included) is unchanged.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 1}, {10, 10}, {1000, 1}, {20'000, 20'000}, {1'000'000, 12'500}};
+  for (const auto& [n, k] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+    fl::PopulationConfig cfg;
+    cfg.n_registered = n;
+    const fl::ClientPopulation pop(cfg, Rng(3));
+    Rng rng(1234 + n);
+    Rng oracle_rng = rng;
+    EXPECT_EQ(pop.sample(rng, k), sorted_insert_sample(oracle_rng, n, k));
+    EXPECT_EQ(rng.randint(0, 1'000'000'000),
+              oracle_rng.randint(0, 1'000'000'000));
+  }
 }
 
 // ------------------------------------------- engine: population rounds

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -20,6 +21,47 @@ namespace {
 TEST(Rng, SameSeedSameStream) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, GoldenStreams) {
+  // The first 16 draws of each primitive from one fixed fork, pinned
+  // bit-exactly (doubles as hexfloats): every seeded history in the
+  // repository depends on these streams.
+  const Rng base = Rng(2026).fork("golden");
+  const std::uint64_t want_u64[16] = {
+      0xeb87d504a612b691ULL, 0xafece50c06852a0bULL, 0x5e1c9512b3d9708fULL,
+      0x6a537c179f217fe4ULL, 0xe554dcc36ce78061ULL, 0x844a5b98d85e104fULL,
+      0x0d0120d283c8d7b6ULL, 0xe51a412644faae11ULL, 0x24d0331268392b0dULL,
+      0x07556b57dcf29137ULL, 0xf694d01b5636435fULL, 0xf3a26835f0fe576aULL,
+      0xbb4d63bac455aebeULL, 0x009891deafc15cabULL, 0xb07e0efad024ec1dULL,
+      0x6bba68234201a6cfULL};
+  const double want_uniform[16] = {
+      0x1.d70faa094c256p-1, 0x1.5fd9ca180d0a5p-1, 0x1.7872544acf65cp-2,
+      0x1.a94df05e7c85ep-2, 0x1.caa9b986d9cfp-1, 0x1.0894b731b0bc2p-1,
+      0x1.a0241a50791ap-5, 0x1.ca34824c89f55p-1, 0x1.2681989341c94p-3,
+      0x1.d55ad5f73ca4p-6, 0x1.ed29a036ac6c8p-1, 0x1.e744d06be1fcap-1,
+      0x1.769ac77588ab5p-1, 0x1.3123bd5f82bp-9, 0x1.60fc1df5a049dp-1,
+      0x1.aee9a08d08068p-2};
+  const double want_uniform_pm4[16] = {
+      0x1.ae1f5412984acp+1, 0x1.7f67286034294p+0, -0x1.0f1b576a61348p+0,
+      -0x1.5ac83e860de88p-1, 0x1.9553730db39ep+1, 0x1.1296e6361784p-3,
+      -0x1.cbfb7cb5f0dccp+1, 0x1.9469049913eaap+1, -0x1.6cbf33b65f1b6p+1,
+      -0x1.e2aa52a08c35cp+1, 0x1.da53406d58d9p+1, 0x1.ce89a0d7c3f94p+1,
+      0x1.da6b1dd622ad4p+0, -0x1.fd9db88540faap+1, 0x1.83f077d681274p+0,
+      -0x1.44597dcbdfe6p-1};
+  const std::int64_t want_randint[16] = {
+      244233, 705219, 335095, 108468, 500897, 232919, 131534, 43337, 863085,
+      350503, 768511, 748474, 394054, 73915, 368925, 183727};
+  Rng a = base;
+  Rng b = base;
+  Rng c = base;
+  Rng d = base;
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a.next_u64(), want_u64[i]) << i;
+    EXPECT_EQ(b.uniform(), want_uniform[i]) << i;
+    EXPECT_EQ(c.uniform(-4.0, 4.0), want_uniform_pm4[i]) << i;
+    EXPECT_EQ(d.randint(-1000, 999'999), want_randint[i]) << i;
+  }
 }
 
 TEST(Rng, DifferentSeedsDiffer) {
