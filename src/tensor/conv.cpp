@@ -20,6 +20,26 @@ void check_nchw(ConstTensorView x, const char* op) {
 }
 
 
+/// The kernel taps of patch (oy, ox) that land inside the h x w input:
+/// ky in [ky0, ky1) and kx in [kx0, kx1) (either range may be empty). Tap
+/// (ky, kx) is input pixel (y0 + ky, x0 + kx).
+struct Window {
+  std::int64_t y0, x0, ky0, ky1, kx0, kx1;
+};
+
+Window patch_window(const Conv2dSpec& spec, std::int64_t oy, std::int64_t ox,
+                    std::int64_t h, std::int64_t w) {
+  const std::int64_t k = spec.kernel;
+  Window win{};
+  win.y0 = oy * spec.stride - spec.padding;
+  win.x0 = ox * spec.stride - spec.padding;
+  win.ky0 = std::clamp<std::int64_t>(-win.y0, 0, k);
+  win.ky1 = std::clamp<std::int64_t>(h - win.y0, win.ky0, k);
+  win.kx0 = std::clamp<std::int64_t>(-win.x0, 0, k);
+  win.kx1 = std::clamp<std::int64_t>(w - win.x0, win.kx0, k);
+  return win;
+}
+
 /// FHDNN_CHECKED entry guard (same contract as ops.cpp): `_into` kernels
 /// must receive live views.
 template <typename... Views>
@@ -49,24 +69,31 @@ void im2col_into(ConstTensorView x, const Conv2dSpec& spec, TensorView cols) {
   const float* px = x.data();
   float* pc = cols.data();
   // One chunk owns a contiguous span of output rows (each row is one
-  // (image, oy, ox) patch), so the parallel fill is race-free.
+  // (image, oy, ox) patch), so the parallel fill is race-free. The valid
+  // (ky, kx) window is computed once per patch: kernel rows outside
+  // [ky0, ky1) are zero-filled whole; in a kernel row inside it, the taps
+  // in [kx0, kx1) read one contiguous run of an input row and the rest
+  // are +0.0.
   parallel::parallel_for(0, n * oh * ow, parallel::grain_for(row_len),
                          [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const std::int64_t in = r / (oh * ow);
       const std::int64_t oy = (r / ow) % oh;
       const std::int64_t ox = r % ow;
+      const Window win = patch_window(spec, oy, ox, h, w);
       float* row = pc + r * row_len;
-      std::int64_t col_idx = 0;
       for (std::int64_t ic = 0; ic < c; ++ic) {
         const float* chan = px + (in * c + ic) * h * w;
+        float* dst = row + ic * k * k;
         for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = oy * spec.stride + ky - spec.padding;
+          float* drow = dst + ky * k;
+          if (ky < win.ky0 || ky >= win.ky1) {
+            for (std::int64_t kx = 0; kx < k; ++kx) drow[kx] = 0.0F;
+            continue;
+          }
+          const std::int64_t off = (win.y0 + ky) * w + win.x0;
           for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ox * spec.stride + kx - spec.padding;
-            row[col_idx++] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                                 ? chan[iy * w + ix]
-                                 : 0.0F;
+            drow[kx] = kx >= win.kx0 && kx < win.kx1 ? chan[off + kx] : 0.0F;
           }
         }
       }
@@ -104,30 +131,29 @@ void col2im_into(ConstTensorView cols, const Conv2dSpec& spec, std::int64_t n,
   float* px = x.data();
   const std::int64_t row_len = c * k * k;
   // Patches overlap within one image, so the accumulation is parallel over
-  // images only — each image's scatter region is disjoint.
+  // images only — each image's scatter region is disjoint. Every input
+  // element receives its additions in ascending (oy, ox) order: that order
+  // fixes the rounding, so (ky, kx) must stay inside the patch loop.
   parallel::parallel_for(0, n, parallel::grain_for(oh * ow * row_len),
                          [&](std::int64_t n0, std::int64_t n1) {
-  for (std::int64_t in = n0; in < n1; ++in) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        const float* row = pc + ((in * oh + oy) * ow + ox) * row_len;
-        std::int64_t col_idx = 0;
-        for (std::int64_t ic = 0; ic < c; ++ic) {
-          float* chan = px + (in * c + ic) * h * w;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = oy * spec.stride + ky - spec.padding;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ox * spec.stride + kx - spec.padding;
-              if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-                chan[iy * w + ix] += row[col_idx];
+    for (std::int64_t in = n0; in < n1; ++in) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const Window win = patch_window(spec, oy, ox, h, w);
+          const float* row = pc + ((in * oh + oy) * ow + ox) * row_len;
+          for (std::int64_t ic = 0; ic < c; ++ic) {
+            float* chan = px + (in * c + ic) * h * w;
+            const float* src = row + ic * k * k;
+            for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
+              const std::int64_t off = (win.y0 + ky) * w + win.x0;
+              for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
+                chan[off + kx] += src[ky * k + kx];
               }
-              ++col_idx;
             }
           }
         }
       }
     }
-  }
   });
 }
 

@@ -38,6 +38,16 @@ void check_no_alias(TensorView out, ConstTensorView in, const char* op) {
               op << " output must not alias an input");
 }
 
+/// Elementwise kernels may run in place (out == in; callers have already
+/// checked equal extents) but reject any other overlap: a vector tier
+/// loads a whole block before it stores, so a shifted alias would read
+/// different values under different tiers.
+void check_in_place_or_disjoint(TensorView out, ConstTensorView in,
+                                const char* op) {
+  FHDNN_CHECK(out.data() == in.data() || !views_overlap(out, in),
+              op << " output must not partially overlap an input");
+}
+
 
 /// FHDNN_CHECKED entry guard for `_into` kernels: views must be live (a
 /// moved-from or default-constructed Tensor yields a null data pointer the
@@ -55,6 +65,8 @@ void add_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("add", a, b, out);
   check_same_dims(a, b, "add");
   check_same_dims(a, out, "add");
+  check_in_place_or_disjoint(out, a, "add");
+  check_in_place_or_disjoint(out, b, "add");
   simd::kernels().add_f32(out.data(), a.data(), b.data(), a.numel());
 }
 
@@ -69,6 +81,8 @@ void sub_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("sub", a, b, out);
   check_same_dims(a, b, "sub");
   check_same_dims(a, out, "sub");
+  check_in_place_or_disjoint(out, a, "sub");
+  check_in_place_or_disjoint(out, b, "sub");
   simd::kernels().sub_f32(out.data(), a.data(), b.data(), a.numel());
 }
 
@@ -83,6 +97,8 @@ void mul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   checked_entry("mul", a, b, out);
   check_same_dims(a, b, "mul");
   check_same_dims(a, out, "mul");
+  check_in_place_or_disjoint(out, a, "mul");
+  check_in_place_or_disjoint(out, b, "mul");
   simd::kernels().mul_f32(out.data(), a.data(), b.data(), a.numel());
 }
 
@@ -96,6 +112,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 void scale_into(ConstTensorView a, float alpha, TensorView out) {
   checked_entry("scale", a, out);
   check_same_dims(a, out, "scale");
+  check_in_place_or_disjoint(out, a, "scale");
   simd::kernels().scale_f32(out.data(), a.data(), alpha, a.numel());
 }
 
@@ -118,23 +135,41 @@ void accumulate(TensorView y, ConstTensorView x) {
 
 namespace {
 
-/// c += a * b, ikj order. Callers must pre-zero c for a plain product.
-void matmul_accumulate(const float* pa, const float* pb, float* pc,
-                       std::int64_t m, std::int64_t k, std::int64_t n) {
-  // ikj order: unit-stride inner loop over both b and c rows, dispatched
-  // to the SIMD axpy (crow[j] += av * brow[j] lane-by-lane, no FMA — see
-  // util/simd.hpp), so results stay bit-identical across tiers. Each
-  // output row is owned by exactly one chunk, so the parallel schedule is
-  // bit-identical to the serial one. No zero-skip: 0 * Inf and 0 * NaN
-  // must propagate NaN per IEEE-754 (the channel models rely on it).
-  const auto axpy = simd::kernels().axpy_f32;
-  parallel::parallel_for(0, m, parallel::grain_for(k * n),
-                         [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        axpy(crow, arow[kk], pb + kk * n, n);
+/// Output rows per matmul / matmul_at task; a task is this many rows of
+/// one kGemmCols-column block.
+constexpr std::int64_t kGemmRowBlock = 64;
+
+/// c = A * b for A(i, kk) = a[i*a_rs + kk*a_ks] (m x k) and a row-major
+/// b (k x n): the shared body of matmul_into and matmul_at_into.
+///
+/// Lanes across outputs, never across k (DESIGN.md §11): every output is
+/// one float lane of the dispatched tile kernel, starting at +0.0 and
+/// adding float(A(i, kk) * b[kk][j]) in ascending kk — the axpy ladder
+/// over a zero-filled c, op for op, under every tier. No zero-skip:
+/// 0 * Inf and 0 * NaN must propagate NaN per IEEE-754 (the channel
+/// models rely on it). b rows are contiguous along j, so the tile reads
+/// them in place and needs no scratch. Tasks are (64-row block x
+/// 16-column block) pairs, row-block major so consecutive tasks reuse the
+/// rows of a; each output belongs to one task, so any chunking gives the
+/// same bits.
+void gemm_tiles(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                const float* b, float* c, std::int64_t m, std::int64_t k,
+                std::int64_t n) {
+  const std::int64_t row_blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
+  const std::int64_t col_blocks = (n + simd::kGemmCols - 1) / simd::kGemmCols;
+  const auto tile = simd::kernels().matmul_tile;
+  parallel::parallel_for(
+      0, row_blocks * col_blocks,
+      parallel::grain_for(kGemmRowBlock * simd::kGemmCols * k),
+      [&](std::int64_t t0, std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t ib = t / col_blocks, jb = t % col_blocks;
+      const std::int64_t j0 = jb * simd::kGemmCols;
+      const std::int64_t cols = std::min(simd::kGemmCols, n - j0);
+      const std::int64_t i1 = std::min(m, (ib + 1) * kGemmRowBlock);
+      for (std::int64_t i = ib * kGemmRowBlock; i < i1; i += simd::kGemmRows) {
+        tile(a + i * a_rs, a_rs, a_ks, std::min(simd::kGemmRows, i1 - i),
+             b + j0, n, k, c + i * n + j0, n, cols);
       }
     }
   });
@@ -178,19 +213,14 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
               "matmul output shape " << out.shape_string());
   check_no_alias(out, a, "matmul");
   check_no_alias(out, b, "matmul");
-  std::fill(out.data(), out.data() + out.numel(), 0.0F);
-  matmul_accumulate(a.data(), b.data(), out.data(), m, k, n);
+  gemm_tiles(a.data(), k, 1, b.data(), out.data(), m, k, n);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_2d(a, "matmul");
   check_2d(b, "matmul");
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  FHDNN_CHECK(b.dim(0) == k, "matmul inner dims: " << shape_to_string(a.shape())
-                                                   << " x "
-                                                   << shape_to_string(b.shape()));
-  Tensor c(Shape{m, n});  // zero-initialized
-  matmul_accumulate(a.data().data(), b.data().data(), c.data().data(), m, k, n);
+  Tensor c(Shape{a.dim(0), b.dim(1)});
+  matmul_into(a, b, c);
   return c;
 }
 
@@ -275,24 +305,8 @@ void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out) {
               "matmul_at output shape " << out.shape_string());
   check_no_alias(out, a, "matmul_at");
   check_no_alias(out, b, "matmul_at");
-  std::fill(out.data(), out.data() + out.numel(), 0.0F);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  // i-outer so each output row is owned by one chunk; the per-element
-  // accumulation order (kk ascending) matches the serial kk-outer loop, so
-  // results are bit-identical — and the dispatched axpy preserves that
-  // order lane-by-lane. No zero-skip (IEEE NaN/Inf propagation).
-  const auto axpy = simd::kernels().axpy_f32;
-  parallel::parallel_for(0, m, parallel::grain_for(k * n),
-                         [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* crow = pc + i * n;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        axpy(crow, pa[kk * m + i], pb + kk * n, n);
-      }
-    }
-  });
+  // a is (k x m), so A(i, kk) = a[kk*m + i]: row stride 1, k stride m.
+  gemm_tiles(a.data(), 1, m, b.data(), out.data(), m, k, n);
 }
 
 Tensor matmul_at(const Tensor& a, const Tensor& b) {
@@ -450,19 +464,22 @@ double cosine_similarity(const Tensor& a, const Tensor& b) {
   return dot(a, b) / (na * nb);
 }
 
-// relu is deliberately excluded from SIMD dispatch: vector max
-// instructions (e.g. _mm256_max_ps) pick the *second* operand when either
-// input is NaN and order -0.0F/+0.0F by operand position, which does not
-// match std::max(px[i], 0.0F) — the scalar loop is the semantics.
+// relu dispatches a compare-and-blend kernel: lanes where x < 0 become
+// +0.0 and the rest keep x, which is std::max(x, 0.0f) for every input —
+// NaN and -0.0 compare false and pass through. A vector max instruction
+// would not be exact (e.g. _mm256_max_ps returns its second operand when
+// either input is NaN or both are zeros), so no tier uses one.
 void relu_into(ConstTensorView x, TensorView out) {
   checked_entry("relu", x, out);
   FHDNN_CHECK(x.numel() == out.numel(),
               "relu output shape " << out.shape_string());
+  check_in_place_or_disjoint(out, x, "relu");
   const float* px = x.data();
   float* po = out.data();
+  const auto relu = simd::kernels().relu_f32;
   parallel::parallel_for(0, x.numel(), parallel::grain_for(1),
                          [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) po[i] = std::max(px[i], 0.0F);
+    relu(po + i0, px + i0, i1 - i0);
   });
 }
 
@@ -478,14 +495,16 @@ void relu_backward_into(ConstTensorView grad_out, ConstTensorView x,
   check_same_dims(grad_out, x, "relu_backward");
   FHDNN_CHECK(grad_out.numel() == out.numel(),
               "relu_backward output shape " << out.shape_string());
+  check_in_place_or_disjoint(out, grad_out, "relu_backward");
+  check_in_place_or_disjoint(out, x, "relu_backward");
   const float* pg = grad_out.data();
   const float* px = x.data();
   float* po = out.data();
+  // Compare-and-blend per lane: x <= 0 (false for NaN) gives +0.0, else g.
+  const auto relu_backward = simd::kernels().relu_backward_f32;
   parallel::parallel_for(0, grad_out.numel(), parallel::grain_for(1),
                          [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      po[i] = px[i] <= 0.0F ? 0.0F : pg[i];
-    }
+    relu_backward(po + i0, pg + i0, px + i0, i1 - i0);
   });
 }
 

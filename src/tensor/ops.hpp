@@ -16,8 +16,11 @@
 //
 // Aliasing: elementwise `_into` kernels (add/sub/mul/scale/relu family,
 // softmax_rows) read each element before writing it and therefore accept
-// out aliasing an input. The matmul family, transpose, and sum_rows read
-// inputs after writing out and CHECK that out does not overlap an input.
+// out aliasing an input exactly (the same data pointer and extent); the
+// add/sub/mul/scale/relu family throws on any partial overlap, whose
+// result would depend on the SIMD tier's load width. The matmul family,
+// transpose, and sum_rows read inputs after writing out and CHECK that out
+// does not overlap an input.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +32,21 @@
 namespace fhdnn::ops {
 
 /// c = a + b (elementwise, same shape).
-/// Aliasing: out may alias a and/or b (each element is read before written).
+/// Aliasing: out may be a and/or b exactly (each element is read before
+/// written); a partial overlap throws.
 Tensor add(const Tensor& a, const Tensor& b);
 void add_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// c = a - b.
-/// Aliasing: out may alias a and/or b.
+/// Aliasing: out may be a and/or b exactly; a partial overlap throws.
 Tensor sub(const Tensor& a, const Tensor& b);
 void sub_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// c = a * b (Hadamard).
-/// Aliasing: out may alias a and/or b.
+/// Aliasing: out may be a and/or b exactly; a partial overlap throws.
 Tensor mul(const Tensor& a, const Tensor& b);
 void mul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// c = a * alpha.
-/// Aliasing: out may alias a (in-place scale).
+/// Aliasing: out may be a exactly (in-place scale); a partial overlap
+/// throws.
 Tensor scale(const Tensor& a, float alpha);
 void scale_into(ConstTensorView a, float alpha, TensorView out);
 
@@ -49,9 +54,10 @@ void scale_into(ConstTensorView a, float alpha, TensorView out);
 /// primitive; bit-identical to Tensor::axpy(1.0F, x).
 void accumulate(TensorView y, ConstTensorView x);
 
-/// Matrix product of a (m x k) and b (k x n) -> (m x n). Cache-blocked ikj
-/// loop order; the NN layers route all their heavy lifting through here.
-/// The `_into` form zero-fills out first (the accumulation identity).
+/// Matrix product of a (m x k) and b (k x n) -> (m x n). Each output is
+/// +0.0 plus float(a[i][kk] * b[kk][j]) added in ascending kk, one float
+/// rounding per multiply and per add (a register-tiled kernel per SIMD
+/// tier; DESIGN.md §11). The `_into` form writes every element of out.
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
@@ -62,7 +68,8 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b);
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Matrix product with a transposed: a^T * b where a is (k x m), b is (k x n).
-/// The `_into` form zero-fills out first.
+/// Same per-output operation order as matmul; the `_into` form writes
+/// every element of out.
 /// Aliasing: out must not overlap a or b (throws on overlap).
 Tensor matmul_at(const Tensor& a, const Tensor& b);
 void matmul_at_into(ConstTensorView a, ConstTensorView b, TensorView out);
@@ -99,12 +106,14 @@ double dot(const Tensor& a, const Tensor& b);
 /// Cosine similarity of two flattened tensors; 0 if either is all-zero.
 double cosine_similarity(const Tensor& a, const Tensor& b);
 
-/// Elementwise ReLU (out of place) and its mask-based backward.
-/// Aliasing: out may alias x.
+/// Elementwise ReLU, std::max(x, 0.0f) (NaN and -0.0 pass through), and
+/// its mask-based backward.
+/// Aliasing: out may be x exactly; a partial overlap throws.
 Tensor relu(const Tensor& x);
 void relu_into(ConstTensorView x, TensorView out);
-/// grad_in = grad_out where x > 0 else 0.
-/// Aliasing: out may alias grad_out and/or x.
+/// grad_in = +0.0 where x <= 0, else grad_out (a NaN x passes grad_out).
+/// Aliasing: out may be grad_out and/or x exactly; a partial overlap
+/// throws.
 Tensor relu_backward(const Tensor& grad_out, const Tensor& x);
 void relu_backward_into(ConstTensorView grad_out, ConstTensorView x,
                         TensorView out);

@@ -43,6 +43,16 @@ bool daz_active() {
 
 }  // namespace
 
+bool fp_contraction_active() {
+  // a = b = 1 + 2^-12 and c = -(1 + 2^-11): the exact a * b + c is 2^-24,
+  // but a * b rounded to float is 1 + 2^-11 (the 2^-24 tail is a tie to
+  // even), so a separately rounded product cancels c to exactly 0.
+  volatile float va = 1.0F + 0x1p-12F;
+  volatile float vc = -(1.0F + 0x1p-11F);
+  const float a = va, b = va, c = vc;
+  return a * b + c != 0.0F;
+}
+
 std::string fp_environment_issues() {
   std::string issues;
   const auto add = [&issues](const char* what) {
@@ -53,6 +63,10 @@ std::string fp_environment_issues() {
   if (daz_active()) add("denormals-are-zero (DAZ) is active");
   if (std::fegetround() != FE_TONEAREST) {
     add("rounding mode is not round-to-nearest");
+  }
+  if (fp_contraction_active()) {
+    add("a * b + c compiles to a fused multiply-add (build without "
+        "-ffp-contract=off)");
   }
 #ifdef FHDNN_HAVE_MXCSR
   const unsigned csr = _mm_getcsr();

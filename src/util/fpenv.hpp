@@ -13,10 +13,18 @@
 
 namespace fhdnn::util {
 
+/// True when the library was compiled with floating-point contraction:
+/// the canary a * b + c, written as one expression, fuses into a single
+/// rounding (2^-24) instead of a rounded product plus an add (0). The
+/// float kernels' bit-exactness contract needs the separate roundings
+/// (-ffp-contract=off, src/CMakeLists.txt).
+bool fp_contraction_active();
+
 /// Empty string when the environment is strict IEEE-754; otherwise a
 /// human-readable list of problems (FTZ active, DAZ active, rounding mode
-/// not nearest). Probes behaviour (subnormal arithmetic through volatiles)
-/// plus the MXCSR bits directly on x86.
+/// not nearest, FMA contraction compiled in). Probes behaviour (subnormal
+/// arithmetic and the contraction canary through volatiles) plus the MXCSR
+/// bits directly on x86.
 std::string fp_environment_issues();
 
 /// True when fp_environment_issues() is empty.

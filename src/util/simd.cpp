@@ -33,6 +33,35 @@ void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+// std::max(x, 0.0f) is (x < 0) ? 0.0f : x: NaN and -0.0 pass through.
+void relu_scalar(float* out, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = std::max(x[i], 0.0F);
+}
+
+void relu_backward_scalar(float* out, const float* g, const float* x,
+                          std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] <= 0.0F ? 0.0F : g[i];
+}
+
+// The axpy ladder on a tile-sized accumulator block: acc starts at +0.0
+// and each kk adds the rounded product av * b[kk][j] to every live output.
+void matmul_tile_scalar(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                        std::int64_t rows, const float* b, std::int64_t ldb,
+                        std::int64_t k, float* c, std::int64_t ldc,
+                        std::int64_t cols) {
+  float acc[kGemmRows][kGemmCols] = {};
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * ldb;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float av = a[r * a_rs + kk * a_ks];
+      for (std::int64_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
 // Register-tiled like the SIMD tiers: each 4 x 4 block of the tile keeps
 // sixteen double accumulators live, so independent add chains hide the add
 // latency. Every accumulator is still one output's sequential sum.
@@ -131,10 +160,11 @@ std::uint64_t hamming_words_scalar(const std::uint64_t* a,
 }
 
 constexpr Kernels kScalar = {
-    axpy_scalar,          scale_scalar,          add_scalar,
-    sub_scalar,           mul_scalar,            matmul_bt_tile_scalar,
-    exact_sum_add_scalar, pack_signs_scalar,     unpack_signs_scalar,
-    xor_words_scalar,     popcount_words_scalar, hamming_words_scalar,
+    axpy_scalar,           scale_scalar,          add_scalar,
+    sub_scalar,            mul_scalar,            relu_scalar,
+    relu_backward_scalar,  matmul_tile_scalar,    matmul_bt_tile_scalar,
+    exact_sum_add_scalar,  pack_signs_scalar,     unpack_signs_scalar,
+    xor_words_scalar,      popcount_words_scalar, hamming_words_scalar,
 };
 
 /// Overlay `tier` onto `base`: non-null tier entries win.
@@ -146,6 +176,11 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
   if (tier->add_f32 != nullptr) out.add_f32 = tier->add_f32;
   if (tier->sub_f32 != nullptr) out.sub_f32 = tier->sub_f32;
   if (tier->mul_f32 != nullptr) out.mul_f32 = tier->mul_f32;
+  if (tier->relu_f32 != nullptr) out.relu_f32 = tier->relu_f32;
+  if (tier->relu_backward_f32 != nullptr) {
+    out.relu_backward_f32 = tier->relu_backward_f32;
+  }
+  if (tier->matmul_tile != nullptr) out.matmul_tile = tier->matmul_tile;
   if (tier->matmul_bt_tile != nullptr) {
     out.matmul_bt_tile = tier->matmul_bt_tile;
   }

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernels for the hot data representations
-// (DESIGN.md §11): float rows (tensor elementwise / matmul inner loops and
-// the matmul_bt register tile), the exact-sum digit planes (carry-save
-// float32 accumulation) and bit-packed hypervector words (pack, XOR-bind,
-// popcount hamming).
+// (DESIGN.md §11): float rows (tensor elementwise ops, relu and its
+// backward, and the matmul / matmul_at / matmul_bt register tiles), the
+// exact-sum digit planes (carry-save float32 accumulation) and bit-packed
+// hypervector words (pack, XOR-bind, popcount hamming).
 //
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
@@ -18,13 +18,14 @@
 //     output elements, multiplies and adds are emitted as separate
 //     instructions (the SIMD TUs compile with -ffp-contract=off and no
 //     FMA), and there are no reassociated reductions. A reduction is
-//     vectorized only across outputs: matmul_bt_tile gives each output
-//     element its own double lane and walks k sequentially in every lane;
+//     vectorized only across outputs: matmul_tile and matmul_bt_tile give
+//     each output element its own lane and walk k sequentially in every
+//     lane; relu kernels are a compare plus a blend, never a vector max;
 //   * integer and bit kernels are exact by construction.
 // tests/test_packed.cpp (row and bit kernels), tests/test_matmul_exact.cpp
-// (the matmul_bt tile) and tests/test_exactsum.cpp (the digit-plane add)
-// pin every tier's output against the scalar tier bit-for-bit, including
-// NaN/Inf/-0.0 payloads.
+// (the matmul tiles), tests/test_conv_exact.cpp (relu) and
+// tests/test_exactsum.cpp (the digit-plane add) pin every tier's output
+// against the scalar tier bit-for-bit, including NaN/Inf/-0.0 payloads.
 //
 // These kernels take raw pointers, not Tensor views: they are the innermost
 // building blocks underneath the `_into` layer and must stay free of any
@@ -41,6 +42,11 @@ namespace fhdnn::simd {
 /// columns per tile, one SIMD lane per column).
 inline constexpr std::int64_t kTileRows = 4;
 inline constexpr std::int64_t kTileCols = 16;
+
+/// matmul_tile geometry: at most kGemmRows output rows and kGemmCols
+/// output columns (one float lane per column) per call.
+inline constexpr std::int64_t kGemmRows = 8;
+inline constexpr std::int64_t kGemmCols = 16;
 
 /// exact_sum_add geometry (util/exactsum.hpp): digit planes per element and
 /// bits per digit. Six radix-2^48 digits span the 277-bit float32 range.
@@ -63,6 +69,30 @@ struct Kernels {
   void (*sub_f32)(float* out, const float* a, const float* b, std::int64_t n);
   /// out[i] = a[i] * b[i]. out may alias a and/or b.
   void (*mul_f32)(float* out, const float* a, const float* b, std::int64_t n);
+  /// out[i] = x[i] < 0 ? +0.0f : x[i] — std::max(x[i], 0.0f) for every
+  /// input, NaN and -0.0 included (both pass through). out may equal x
+  /// (no partial overlap).
+  void (*relu_f32)(float* out, const float* x, std::int64_t n);
+  /// out[i] = x[i] <= 0 ? +0.0f : g[i] (NaN x passes g through). out may
+  /// equal g and/or x (no partial overlap).
+  void (*relu_backward_f32)(float* out, const float* g, const float* x,
+                            std::int64_t n);
+  /// One register tile of c = a * b (the micro-kernel under
+  /// ops::matmul_into and ops::matmul_at_into). For r < rows, j < cols:
+  ///   acc = +0.0f
+  ///   for kk = 0..k-1: acc = acc + float(A(r, kk) * b[kk*ldb + j])
+  ///   c[r*ldc + j] = acc
+  /// with A(r, kk) = a[r*a_rs + kk*a_ks]: each output is its own float
+  /// lane, one multiply and one add per kk in ascending order — the
+  /// former axpy ladder (c zero-filled, then c[j] += a * b[j] per kk), op
+  /// for op. (a_rs, a_ks) is (k, 1) for a row-major a and (1, m) for the
+  /// transposed a of matmul_at. b rows are read only at columns < cols.
+  /// Requires 1 <= rows <= kGemmRows and 1 <= cols <= kGemmCols; c must
+  /// not overlap a or b.
+  void (*matmul_tile)(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                      std::int64_t rows, const float* b, std::int64_t ldb,
+                      std::int64_t k, float* c, std::int64_t ldc,
+                      std::int64_t cols);
   /// One register tile of c = a * b^T (the micro-kernel under
   /// ops::matmul_bt_into). For r < rows and j < cols:
   ///   c[r*ldc + j] = float(sum_{kk = 0..k-1} double(a[r*lda + kk]) *

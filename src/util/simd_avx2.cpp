@@ -1,10 +1,13 @@
-// AVX2 kernel tier. Compiled with -mavx2 -mpopcnt -mno-fma
-// -ffp-contract=off (see src/util/CMakeLists.txt): the float kernels must
-// emit separate multiply and add instructions so every output element sees
-// the exact IEEE-754 operation sequence of the scalar oracle — FMA
-// contraction would change results in the last ulp and break the golden
-// histories. The integer kernels (exact-sum digit-plane add, sign-pack via
-// compare+movemask, Muła nibble-LUT popcount) are exact by construction.
+// AVX2 kernel tier: 8-lane float kernels (elementwise, relu
+// compare-and-blend, an up-to-8 x 16 matmul tile in two 8-column halves),
+// a 4 x 16 matmul_bt tile, the 4-lane exact-sum add and the bit kernels.
+// Compiled with -mavx2 -mpopcnt -mno-fma -ffp-contract=off (see
+// src/util/CMakeLists.txt): the float kernels must emit separate multiply
+// and add instructions so every output element sees the exact IEEE-754
+// operation sequence of the scalar oracle — FMA contraction would change
+// results in the last ulp and break the golden histories. The integer
+// kernels (exact-sum digit-plane add, sign-pack via compare+movemask, Muła
+// nibble-LUT popcount) are exact by construction.
 //
 // The entire file is guarded by __AVX2__: on non-x86 targets (or when the
 // build system did not pass the flags) the table resolver returns null and
@@ -15,6 +18,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 
 namespace fhdnn::simd::detail {
@@ -66,6 +70,82 @@ void mul_avx2(float* out, const float* a, const float* b, std::int64_t n) {
         out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
+}
+
+/// Lanes where x < 0 (_CMP_LT_OQ: false for NaN and -0.0) blend to +0.0;
+/// every other lane keeps x — std::max(x, 0.0f) exactly, which
+/// _mm256_max_ps is not (it returns its second operand on NaN and on
+/// either zero).
+void relu_avx2(float* out, const float* x, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    _mm256_storeu_ps(out + i, _mm256_blendv_ps(
+                                  v, zero, _mm256_cmp_ps(v, zero, _CMP_LT_OQ)));
+  }
+  for (; i < n; ++i) out[i] = std::max(x[i], 0.0F);
+}
+
+/// Lanes where x <= 0 (_CMP_LE_OQ: false for NaN) blend to +0.0; the rest
+/// take g.
+void relu_backward_avx2(float* out, const float* g, const float* x,
+                        std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 off = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_LE_OQ);
+    _mm256_storeu_ps(out + i,
+                     _mm256_blendv_ps(_mm256_loadu_ps(g + i), zero, off));
+  }
+  for (; i < n; ++i) out[i] = x[i] <= 0.0F ? 0.0F : g[i];
+}
+
+/// R rows x up to 8 columns of c = A * b: one ymm float accumulator per
+/// row, a masked load of b row kk (tail columns read as zero and are
+/// never stored), then a separate multiply and add per row.
+template <int R>
+void matmul_tile_rows_avx2(const float* a, std::int64_t a_rs,
+                           std::int64_t a_ks, const float* b, std::int64_t ldb,
+                           std::int64_t k, float* c, std::int64_t ldc,
+                           __m256i lanes) {
+  __m256 acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m256 vb = _mm256_maskload_ps(b + kk * ldb, lanes);
+    const float* ak = a + kk * a_ks;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_add_ps(acc[r],
+                             _mm256_mul_ps(_mm256_set1_ps(ak[r * a_rs]), vb));
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) _mm256_maskstore_ps(c + r * ldc, lanes, acc[r]);
+}
+
+/// The up-to-8 x 16 tile as two 8-column halves (R accumulators each;
+/// sixteen would leave no registers for the operands).
+void matmul_tile_avx2(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                      std::int64_t rows, const float* b, std::int64_t ldb,
+                      std::int64_t k, float* c, std::int64_t ldc,
+                      std::int64_t cols) {
+  using RowsFn = void (*)(const float*, std::int64_t, std::int64_t,
+                          const float*, std::int64_t, std::int64_t, float*,
+                          std::int64_t, __m256i);
+  static constexpr RowsFn kByRows[kGemmRows] = {
+      matmul_tile_rows_avx2<1>, matmul_tile_rows_avx2<2>,
+      matmul_tile_rows_avx2<3>, matmul_tile_rows_avx2<4>,
+      matmul_tile_rows_avx2<5>, matmul_tile_rows_avx2<6>,
+      matmul_tile_rows_avx2<7>, matmul_tile_rows_avx2<8>,
+  };
+  const __m256i lane_index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::int64_t j0 = 0; j0 < cols; j0 += 8) {
+    const __m256i lanes = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(cols - j0)), lane_index);
+    kByRows[rows - 1](a, a_rs, a_ks, b + j0, ldb, k, c + j0, ldc, lanes);
+  }
 }
 
 /// Store one tile row's 8 converted lanes (lo = columns 0-3, hi = 4-7),
@@ -322,7 +402,8 @@ std::uint64_t hamming_words_avx2(const std::uint64_t* a,
 
 constexpr Kernels kAvx2 = {
     axpy_avx2,           scale_avx2,          add_avx2,
-    sub_avx2,            mul_avx2,            matmul_bt_tile_avx2,
+    sub_avx2,            mul_avx2,            relu_avx2,
+    relu_backward_avx2,  matmul_tile_avx2,    matmul_bt_tile_avx2,
     exact_sum_add_avx2,  pack_signs_avx2,     unpack_signs_avx2,
     xor_words_avx2,      popcount_words_avx2, hamming_words_avx2,
 };

@@ -1,6 +1,7 @@
-// AVX-512 kernel tier: 16-lane float kernels, a 4 x 16 matmul_bt tile
-// (eight zmm double accumulators) and the 8-lane exact-sum digit-plane
-// add. Compiled with
+// AVX-512 kernel tier: 16-lane float kernels (elementwise, relu
+// compare-and-blend, an up-to-8 x 16 matmul tile of zmm float
+// accumulators), a 4 x 16 matmul_bt tile (eight zmm double accumulators)
+// and the 8-lane exact-sum digit-plane add. Compiled with
 // -mavx512f -mavx512bw -mno-fma -ffp-contract=off (src/util/CMakeLists.txt)
 // for the same bit-exactness contract as the AVX2 tier — separate multiply
 // and add per element, no reassociated reductions.
@@ -67,6 +68,77 @@ void mul_avx512(float* out, const float* a, const float* b, std::int64_t n) {
         out + i, _mm512_mul_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
+}
+
+/// Lanes where x < 0 (_CMP_LT_OQ: false for NaN and -0.0) become +0.0;
+/// every other lane keeps x — std::max(x, 0.0f) exactly. A vector max
+/// would not be: it returns its second operand on NaN and either zero.
+void relu_avx512(float* out, const float* x, std::int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const auto lanes = static_cast<__mmask16>(
+        n - i >= 16 ? 0xFFFFU : (1U << (n - i)) - 1U);
+    const __m512 v = _mm512_maskz_loadu_ps(lanes, x + i);
+    const __mmask16 neg = _mm512_cmp_ps_mask(v, zero, _CMP_LT_OQ);
+    _mm512_mask_storeu_ps(out + i, lanes, _mm512_mask_mov_ps(v, neg, zero));
+  }
+}
+
+/// Lanes where x <= 0 (_CMP_LE_OQ: false for NaN) become +0.0; the rest
+/// take g.
+void relu_backward_avx512(float* out, const float* g, const float* x,
+                          std::int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const auto lanes = static_cast<__mmask16>(
+        n - i >= 16 ? 0xFFFFU : (1U << (n - i)) - 1U);
+    const __mmask16 off = _mm512_cmp_ps_mask(
+        _mm512_maskz_loadu_ps(lanes, x + i), zero, _CMP_LE_OQ);
+    _mm512_mask_storeu_ps(
+        out + i, lanes,
+        _mm512_mask_mov_ps(_mm512_maskz_loadu_ps(lanes, g + i), off, zero));
+  }
+}
+
+/// R rows x up to 16 columns of c = A * b: one zmm float accumulator per
+/// row, a masked load of b row kk (tail columns read as zero and are
+/// never stored), then a separate multiply and add per row.
+template <int R>
+void matmul_tile_rows_avx512(const float* a, std::int64_t a_rs,
+                             std::int64_t a_ks, const float* b,
+                             std::int64_t ldb, std::int64_t k, float* c,
+                             std::int64_t ldc, __mmask16 lanes) {
+  __m512 acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m512 vb = _mm512_maskz_loadu_ps(lanes, b + kk * ldb);
+    const float* ak = a + kk * a_ks;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm512_add_ps(acc[r],
+                             _mm512_mul_ps(_mm512_set1_ps(ak[r * a_rs]), vb));
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) _mm512_mask_storeu_ps(c + r * ldc, lanes, acc[r]);
+}
+
+void matmul_tile_avx512(const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                        std::int64_t rows, const float* b, std::int64_t ldb,
+                        std::int64_t k, float* c, std::int64_t ldc,
+                        std::int64_t cols) {
+  using RowsFn = void (*)(const float*, std::int64_t, std::int64_t,
+                          const float*, std::int64_t, std::int64_t, float*,
+                          std::int64_t, __mmask16);
+  static constexpr RowsFn kByRows[kGemmRows] = {
+      matmul_tile_rows_avx512<1>, matmul_tile_rows_avx512<2>,
+      matmul_tile_rows_avx512<3>, matmul_tile_rows_avx512<4>,
+      matmul_tile_rows_avx512<5>, matmul_tile_rows_avx512<6>,
+      matmul_tile_rows_avx512<7>, matmul_tile_rows_avx512<8>,
+  };
+  kByRows[rows - 1](a, a_rs, a_ks, b, ldb, k, c, ldc,
+                    static_cast<__mmask16>((1U << cols) - 1U));
 }
 
 /// Store one tile row's converted lanes (lo = columns 0-7, hi = 8-15),
@@ -246,7 +318,9 @@ void unpack_signs_avx512(const std::uint64_t* src, float* dst,
 constexpr Kernels kAvx512 = {
     axpy_avx512,         scale_avx512,
     add_avx512,          sub_avx512,
-    mul_avx512,          matmul_bt_tile_avx512,
+    mul_avx512,          relu_avx512,
+    relu_backward_avx512, matmul_tile_avx512,
+    matmul_bt_tile_avx512,
     exact_sum_add_avx512,
     pack_signs_avx512,   unpack_signs_avx512,
     nullptr /*xor_words: AVX2*/,

@@ -9,7 +9,8 @@
 // scalar loop, and the popcount/XOR kernels below carry the hot packed-HD
 // path via the native vcnt instruction. exact_sum_add is left to the
 // scalar tier too: two 64-bit lanes have not been shown to beat its
-// branch-free loop.
+// branch-free loop. relu, relu backward and the matmul tile are left to
+// the scalar tier until NEON versions can be built and measured.
 #include "util/simd.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -159,7 +160,9 @@ void matmul_bt_tile_neon(const float* a, std::int64_t lda, std::int64_t rows,
 
 constexpr Kernels kNeon = {
     axpy_neon, scale_neon, add_neon,
-    sub_neon,  mul_neon,   matmul_bt_tile_neon,
+    sub_neon,  mul_neon,
+    nullptr /*relu_f32: scalar*/, nullptr /*relu_backward_f32: scalar*/,
+    nullptr /*matmul_tile: scalar*/, matmul_bt_tile_neon,
     nullptr /*exact_sum_add: scalar*/,
     nullptr /*pack_signs: scalar*/,
     nullptr /*unpack_signs: scalar*/, xor_words_neon,

@@ -8,6 +8,7 @@
 // -DFHDNN_CHECKED=ON plus ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -134,6 +135,20 @@ TEST(Checked, FpEnvironmentIsStrictInTests) {
   EXPECT_TRUE(util::fp_environment_strict());
   EXPECT_NO_THROW(util::assert_fp_environment());
   EXPECT_NO_THROW(util::checked_startup());
+}
+
+TEST(Checked, ContractionCanaryIsOffAndDiscriminates) {
+  // The library and this TU both compile with -ffp-contract=off.
+  EXPECT_FALSE(util::fp_contraction_active());
+  // The canary's values tell the two roundings apart: one fused rounding
+  // leaves 2^-24, a rounded product cancels to 0.
+  volatile float va = 1.0F + 0x1p-12F;
+  volatile float vc = -(1.0F + 0x1p-11F);
+  const float a = va, c = vc;
+  EXPECT_EQ(std::fma(a, a, c), 0x1p-24F);
+  volatile float product = a * a;
+  EXPECT_EQ(product + c, 0.0F);
+  EXPECT_EQ(a * a + c, 0.0F);
 }
 
 TEST(Checked, SubnormalsSurviveArithmetic) {

@@ -1,20 +1,28 @@
-// Bit-exactness of ops::matmul_bt_into (and linear_forward_into on top of
-// it) against the sequential reduction it replaced.
+// Bit-exactness of the dense products against the loops they replaced.
 //
-// The oracle below is a verbatim copy of the former triple loop: one double
-// accumulator per output, starting at +0.0 and adding
-// double(a[i][kk]) * b[j][kk] for kk = 0..k-1 in order. The production
-// kernel packs 16-column panels, runs a 4 x 16 register tile per SIMD tier
-// and splits a 2-D task grid across the thread pool; none of that may
-// change a single bit. Every comparison is on the float bit pattern, under
-// every tier the CPU supports and at 1 and 4 threads, so NaN payloads and
-// signed zeros count too.
+// ops::matmul_bt_into (and linear_forward_into on top of it): the oracle
+// is a verbatim copy of the former triple loop, one double accumulator per
+// output, starting at +0.0 and adding double(a[i][kk]) * b[j][kk] for
+// kk = 0..k-1 in order. The production kernel packs 16-column panels, runs
+// a 4 x 16 register tile per SIMD tier and splits a 2-D task grid across
+// the thread pool.
+//
+// ops::matmul_into and ops::matmul_at_into: the oracles are verbatim
+// copies of the former axpy ladders, a zero-filled c and then
+// c[i][j] += a(i, kk) * b[kk][j] in float for kk ascending. The production
+// kernel runs an up-to-8 x 16 float register tile per SIMD tier over a
+// (row block x column block) task grid.
+//
+// None of that may change a single bit. Every comparison is on the float
+// bit pattern, under every tier the CPU supports and at 1 and 4 threads,
+// so NaN payloads and signed zeros count too.
 //
 // The inputs carry NaN, +-Inf, -0.0 rows, denormals, and a +-2^60 pair that
 // cancels exactly only when kk is walked in ascending order (a reversed or
 // reassociated lane absorbs the small middle terms into 2^60 first).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -48,6 +56,36 @@ void oracle_matmul_bt(const float* pa, const float* pb, float* pc,
         acc += static_cast<double>(arow[kk]) * brow[kk];
       }
       crow[j] = static_cast<float>(acc);
+    }
+  }
+}
+
+// The former matmul_into: zero fill, then matmul_accumulate's ikj axpy
+// ladder (y[j] += a * x[j]), run serially.
+void oracle_matmul(const float* pa, const float* pb, float* pc,
+                   std::int64_t m, std::int64_t k, std::int64_t n) {
+  std::fill(pc, pc + m * n, 0.0F);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    float* crow = pc + i * n;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      const float* brow = pb + kk * n;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// The former matmul_at_into body: a is (k x m), i outer, kk ascending.
+void oracle_matmul_at(const float* pa, const float* pb, float* pc,
+                      std::int64_t k, std::int64_t m, std::int64_t n) {
+  std::fill(pc, pc + m * n, 0.0F);
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* crow = pc + i * n;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = pa[kk * m + i];
+      const float* brow = pb + kk * n;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -128,6 +166,19 @@ std::vector<float> make_b(std::int64_t n, std::int64_t k, Rng& rng) {
     if (k >= 2) row[1] = row[0];
   }
   return b;
+}
+
+/// Row-major transpose of a rows x cols matrix.
+std::vector<float> transposed(const std::vector<float>& x, std::int64_t rows,
+                              std::int64_t cols) {
+  std::vector<float> t(x.size());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      t[static_cast<std::size_t>(c * rows + r)] =
+          x[static_cast<std::size_t>(r * cols + c)];
+    }
+  }
+  return t;
 }
 
 /// Tiers this CPU can run, scalar first.
@@ -235,9 +286,71 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 7, 512)),
     dims_name);
 
-// k = 0 cannot reach matmul_bt_into (views and tensors reject zero dims),
-// so the empty sum is pinned on the tile kernel itself: every tier writes
-// +0.0, the oracle's starting value, and stores nothing past rows x cols.
+// matmul and matmul_at on the same special values: b^T of the matmul_bt
+// inputs is the (k x n) right factor, so each b column repeats its kk = 0
+// entry at kk = 1 and the +-2^60 pair in `a` cancels exactly only in
+// ascending kk; a^T is matmul_at's (k x m) left factor.
+class GemmExact : public MatmulExact {};
+
+TEST_P(GemmExact, MatmulAndMatmulAt) {
+  const std::vector<float> b_kn = transposed(b_, n_, k_);
+  const ConstTensorView b_view(b_kn.data(), {k_, n_});
+  std::vector<float> want(static_cast<std::size_t>(m_ * n_));
+  oracle_matmul(a_.data(), b_kn.data(), want.data(), m_, k_, n_);
+  expect_exact(want, [&](TensorView out) {
+    ops::matmul_into(a_view(), b_view, out);
+  });
+  const std::vector<float> a_km = transposed(a_, m_, k_);
+  std::vector<float> want_at(static_cast<std::size_t>(m_ * n_));
+  oracle_matmul_at(a_km.data(), b_kn.data(), want_at.data(), k_, m_, n_);
+  EXPECT_EQ(first_mismatch(want_at, want), -1);
+  expect_exact(want_at, [&](TensorView out) {
+    ops::matmul_at_into(ConstTensorView(a_km.data(), {k_, m_}), b_view, out);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GemmExact,
+    ::testing::Combine(
+        ::testing::Values(1, 3, 4, 5, 15, 16, 17, 31, 32, 33),
+        ::testing::Values(1, 3, 4, 5, 15, 16, 17, 31, 32, 33),
+        ::testing::Values(1, 2, 9, 70)),
+    dims_name);
+
+// The CNN-2 training step's products (B = 10, 28 x 28): conv1 grad-cols
+// and grad-weight (7840 x 16 x 9), conv2 (1960 x 32 x 144) and the
+// fc layer's grad-input and grad-weight (10 x 128 x 1568). As (m, n, k),
+// matmul runs rows x oc x ckk as (rows, ckk, oc) and matmul_at as
+// (oc, ckk, rows).
+INSTANTIATE_TEST_SUITE_P(
+    Cnn2, GemmExact,
+    ::testing::Values(Dims{7840, 9, 16}, Dims{16, 9, 7840},
+                      Dims{1960, 144, 32}, Dims{32, 144, 1960},
+                      Dims{10, 1568, 128}, Dims{128, 1568, 10}),
+    dims_name);
+
+constexpr std::int64_t kLdc = simd::kGemmCols + 3;
+
+/// c holds a tile written at row stride ldc: +0.0 in the live rows x cols,
+/// the guard everywhere else.
+void expect_zero_tile(const std::vector<float>& c, std::int64_t rows,
+                      std::int64_t cols, std::int64_t ldc,
+                      util::SimdTier tier) {
+  const auto total = static_cast<std::int64_t>(c.size());
+  for (std::int64_t at = 0; at < total; ++at) {
+    const std::int64_t r = at / ldc, j = at % ldc;
+    const float want = r < rows && j < cols ? 0.0F : kGuard;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(c[static_cast<std::size_t>(at)]),
+              std::bit_cast<std::uint32_t>(want))
+        << util::simd_tier_name(tier) << " rows " << rows << " cols " << cols
+        << " at (" << r << ", " << j << ")";
+  }
+}
+
+// k = 0 cannot reach matmul_bt_into, matmul_into or matmul_at_into (views
+// and tensors reject zero dims), so the empty sum is pinned on the tile
+// kernels themselves: every tier writes +0.0, the oracles' starting value,
+// and stores nothing past rows x cols.
 TEST(MatmulExactTile, EmptySumIsPositiveZeroUnderEveryTier) {
   EXPECT_THROW(ConstTensorView(nullptr, {3, 0}), Error);
   const float panel[simd::kTileCols] = {};
@@ -250,16 +363,16 @@ TEST(MatmulExactTile, EmptySumIsPositiveZeroUnderEveryTier) {
         std::vector<float> c(static_cast<std::size_t>(simd::kTileRows * ldc),
                              kGuard);
         tile(a, 0, rows, panel, 0, c.data(), ldc, cols);
-        for (std::int64_t r = 0; r < simd::kTileRows; ++r) {
-          for (std::int64_t j = 0; j < ldc; ++j) {
-            const float want = r < rows && j < cols ? 0.0F : kGuard;
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                          c[static_cast<std::size_t>(r * ldc + j)]),
-                      std::bit_cast<std::uint32_t>(want))
-                << util::simd_tier_name(tier) << " rows " << rows << " cols "
-                << cols << " at (" << r << ", " << j << ")";
-          }
-        }
+        expect_zero_tile(c, rows, cols, ldc, tier);
+      }
+    }
+    const auto gemm = simd::kernels_for(tier).matmul_tile;
+    for (std::int64_t rows = 1; rows <= simd::kGemmRows; ++rows) {
+      for (std::int64_t cols = 1; cols <= simd::kGemmCols; ++cols) {
+        std::vector<float> c(static_cast<std::size_t>(simd::kGemmRows * kLdc),
+                             kGuard);
+        gemm(a, 1, 1, rows, panel, 0, 0, c.data(), kLdc, cols);
+        expect_zero_tile(c, rows, cols, kLdc, tier);
       }
     }
   }

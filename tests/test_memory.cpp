@@ -317,8 +317,36 @@ TEST(ViewAliasing, ElementwiseKernelsAcceptOutAliasingInput) {
   expect_bits_eq(a.data(), ops::relu(a0).data());
 
   a = a0;
+  ops::relu_backward_into(b, a, a);
+  expect_bits_eq(a.data(), ops::relu_backward(b, a0).data());
+
+  a = a0;
   ops::softmax_rows_into(a, a);
   expect_bits_eq(a.data(), ops::softmax_rows(a0).data());
+}
+
+// In place is exact aliasing only: a view shifted by one element would be
+// read ahead of its stores by a vector tier and not by the scalar one.
+TEST(ViewAliasing, ElementwiseKernelsRejectPartialOverlap) {
+  Rng rng(611);
+  Tensor buf = Tensor::randn(Shape{40}, rng);
+  float* p = buf.data().data();
+  const ConstTensorView in(p, {16});
+  const ConstTensorView other(p + 20, {16});
+  const TensorView shifted(p + 1, {16});
+  EXPECT_THROW(ops::add_into(in, other, shifted), Error);
+  EXPECT_THROW(ops::add_into(other, in, shifted), Error);
+  EXPECT_THROW(ops::sub_into(in, other, shifted), Error);
+  EXPECT_THROW(ops::mul_into(other, in, shifted), Error);
+  EXPECT_THROW(ops::scale_into(in, 2.0F, shifted), Error);
+  EXPECT_THROW(ops::relu_into(in, shifted), Error);
+  EXPECT_THROW(ops::relu_backward_into(in, other, shifted), Error);
+  EXPECT_THROW(ops::relu_backward_into(other, in, shifted), Error);
+  // Exact aliasing and disjoint views stay legal.
+  const TensorView same(p, {16});
+  EXPECT_NO_THROW(ops::add_into(in, other, same));
+  EXPECT_NO_THROW(ops::relu_backward_into(other, in, same));
+  EXPECT_NO_THROW(ops::relu_into(in, TensorView(p + 16, {16})));
 }
 
 TEST(ViewAliasing, ReadAfterWriteKernelsRejectOverlap) {
