@@ -67,7 +67,7 @@ class FedHdLearner final : public LocalLearner<Tensor> {
                     : local.refine_epoch(cdata.h, cdata.labels,
                                          config_.refine_lr);
     }
-    return {local.prototypes(),
+    return {std::move(local.prototypes()),
             static_cast<double>(updates) /
                 static_cast<double>(cdata.labels.size())};
   }

@@ -179,27 +179,6 @@ void gemm_tiles(const float* a, std::int64_t a_rs, std::int64_t a_ks,
 /// 16-column block.
 constexpr std::int64_t kBtRowBlock = 64;
 
-/// Pack rows [0, cols) of `b` (each k floats) into the k x 16 panel
-/// matmul_bt_tile reads: panel[kk*16 + j] = b[j*k + kk], and zeros in the
-/// lanes j >= cols. Those lanes are computed but never stored; zeroing
-/// keeps them off stale arena bytes (denormal or NaN garbage).
-void pack_bt_panel(const float* b, std::int64_t k, std::int64_t cols,
-                   float* panel) {
-  for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
-    float* lane = panel + j;
-    if (j < cols) {
-      const float* brow = b + j * k;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        lane[kk * simd::kTileCols] = brow[kk];
-      }
-    } else {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        lane[kk * simd::kTileCols] = 0.0F;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
@@ -245,8 +224,9 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   float* pc = out.data();
   // Lanes across outputs, never across k (DESIGN.md §11): every output
   // element is one double lane of the dispatched tile kernel, starting at
-  // +0.0 and adding the exact products in ascending kk — the sequential
-  // reduction the hexfloat goldens pin, bit for bit under every tier.
+  // +0.0 and adding the exact products in ascending kk, rounded to float
+  // as it is stored — the sequential reduction the hexfloat goldens pin,
+  // bit for bit under every tier.
   //
   // Tasks are (64-row block x 16-column block) pairs, ordered column-block
   // major so a chunk packs each panel once for all its row blocks. Each
@@ -278,11 +258,36 @@ void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out) {
       }
       const std::int64_t i1 = std::min(m, (ib + 1) * kBtRowBlock);
       for (std::int64_t i = ib * kBtRowBlock; i < i1; i += simd::kTileRows) {
-        tile(pa + i * k, k, std::min(simd::kTileRows, i1 - i), panel, k,
-             pc + i * n + j0, n, cols);
+        const std::int64_t rows = std::min(simd::kTileRows, i1 - i);
+        double lanes[simd::kTileRows * simd::kTileCols];
+        tile(pa + i * k, k, rows, panel, k, lanes, simd::kTileCols, cols);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          float* ci = pc + (i + r) * n + j0;
+          const double* lr = lanes + r * simd::kTileCols;
+          for (std::int64_t j = 0; j < cols; ++j) {
+            ci[j] = static_cast<float>(lr[j]);
+          }
+        }
       }
     }
   });
+}
+
+void pack_bt_panel(const float* b, std::int64_t k, std::int64_t cols,
+                   float* panel) {
+  for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
+    float* lane = panel + j;
+    if (j < cols) {
+      const float* brow = b + j * k;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        lane[kk * simd::kTileCols] = brow[kk];
+      }
+    } else {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        lane[kk * simd::kTileCols] = 0.0F;
+      }
+    }
+  }
 }
 
 Tensor matmul_bt(const Tensor& a, const Tensor& b) {

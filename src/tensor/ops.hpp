@@ -67,6 +67,14 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 Tensor matmul_bt(const Tensor& a, const Tensor& b);
 void matmul_bt_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
+/// Pack rows [0, cols) of b (each k floats, row stride k) into the k x 16
+/// panel simd::Kernels::matmul_bt_tile reads: panel[kk*16 + j] =
+/// b[j*k + kk], and zeros in the lanes j >= cols. Those lanes are computed
+/// but never stored; zeroing keeps them off stale arena bytes (denormal or
+/// NaN garbage). Requires 1 <= cols <= simd::kTileCols.
+void pack_bt_panel(const float* b, std::int64_t k, std::int64_t cols,
+                   float* panel);
+
 /// Matrix product with a transposed: a^T * b where a is (k x m), b is (k x n).
 /// Same per-output operation order as matmul; the `_into` form writes
 /// every element of out.

@@ -34,13 +34,23 @@ void mul_scalar(float* out, const float* a, const float* b, std::int64_t n) {
 }
 
 // std::max(x, 0.0f) is (x < 0) ? 0.0f : x: NaN and -0.0 pass through.
+// Branch-free as a bit mask: clearing every bit of x where x < 0 yields
+// +0.0 there and keeps x's exact bits (NaN payloads, -0.0, denormals)
+// everywhere else, so the loop needs no jump per element.
 void relu_scalar(float* out, const float* x, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = std::max(x[i], 0.0F);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t keep = static_cast<std::uint32_t>(x[i] < 0.0F) - 1U;
+    out[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(x[i]) & keep);
+  }
 }
 
+// x <= 0 ? 0.0f : g, with the same mask: NaN x keeps g's bits.
 void relu_backward_scalar(float* out, const float* g, const float* x,
                           std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] <= 0.0F ? 0.0F : g[i];
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t keep = static_cast<std::uint32_t>(x[i] <= 0.0F) - 1U;
+    out[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) & keep);
+  }
 }
 
 // The axpy ladder on a tile-sized accumulator block: acc starts at +0.0
@@ -62,34 +72,39 @@ void matmul_tile_scalar(const float* a, std::int64_t a_rs, std::int64_t a_ks,
   }
 }
 
-// Register-tiled like the SIMD tiers: each 4 x 4 block of the tile keeps
-// sixteen double accumulators live, so independent add chains hide the add
-// latency. Every accumulator is still one output's sequential sum.
+// Register-tiled like the SIMD tiers: each 2-row x 4-column block keeps
+// eight named double accumulators (named, so they live in registers
+// rather than in a stack array), and the independent add chains hide the
+// add latency. Every accumulator is still one output's sequential sum.
 void matmul_bt_tile_scalar(const float* a, std::int64_t lda, std::int64_t rows,
-                           const float* panel, std::int64_t k, float* c,
+                           const float* panel, std::int64_t k, double* c,
                            std::int64_t ldc, std::int64_t cols) {
-  constexpr std::int64_t kBlock = 4;
-  const float* ar[kTileRows];
-  for (std::int64_t r = 0; r < kTileRows; ++r) {
-    // Rows past `rows` recompute row 0 and are never stored.
-    ar[r] = a + (r < rows ? r : 0) * lda;
-  }
-  for (std::int64_t j0 = 0; j0 < cols; j0 += kBlock) {
-    double acc[kTileRows][kBlock] = {};
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* p = panel + kk * kTileCols + j0;
-      for (std::int64_t r = 0; r < kTileRows; ++r) {
-        const double av = static_cast<double>(ar[r][kk]);
-        for (std::int64_t j = 0; j < kBlock; ++j) {
-          acc[r][j] += av * static_cast<double>(p[j]);
-        }
+  for (std::int64_t j0 = 0; j0 < cols; j0 += 4) {
+    const std::int64_t jn = std::min<std::int64_t>(4, cols - j0);
+    for (std::int64_t r0 = 0; r0 < rows; r0 += 2) {
+      // A missing second row recomputes the first and is never stored.
+      const bool pair = r0 + 1 < rows;
+      const float* a0 = a + r0 * lda;
+      const float* a1 = pair ? a0 + lda : a0;
+      double s00 = 0.0, s01 = 0.0, s02 = 0.0, s03 = 0.0;
+      double s10 = 0.0, s11 = 0.0, s12 = 0.0, s13 = 0.0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float* p = panel + kk * kTileCols + j0;
+        const double p0 = p[0], p1 = p[1], p2 = p[2], p3 = p[3];
+        const double x0 = a0[kk], x1 = a1[kk];
+        s00 += x0 * p0;
+        s01 += x0 * p1;
+        s02 += x0 * p2;
+        s03 += x0 * p3;
+        s10 += x1 * p0;
+        s11 += x1 * p1;
+        s12 += x1 * p2;
+        s13 += x1 * p3;
       }
-    }
-    const std::int64_t jn = std::min(kBlock, cols - j0);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t j = 0; j < jn; ++j) {
-        c[r * ldc + j0 + j] = static_cast<float>(acc[r][j]);
-      }
+      const double row0[4] = {s00, s01, s02, s03};
+      const double row1[4] = {s10, s11, s12, s13};
+      std::copy(row0, row0 + jn, c + r0 * ldc + j0);
+      if (pair) std::copy(row1, row1 + jn, c + (r0 + 1) * ldc + j0);
     }
   }
 }
@@ -201,8 +216,7 @@ Kernels overlay(const Kernels& base, const Kernels* tier) {
 std::array<Kernels, 4> build_tables() {
   std::array<Kernels, 4> t{};
   t[static_cast<std::size_t>(util::SimdTier::Scalar)] = kScalar;
-  t[static_cast<std::size_t>(util::SimdTier::Neon)] =
-      overlay(kScalar, detail::neon_table());
+  t[static_cast<std::size_t>(util::SimdTier::Neon)] = kScalar;
   const Kernels avx2 = overlay(kScalar, detail::avx2_table());
   t[static_cast<std::size_t>(util::SimdTier::Avx2)] = avx2;
   t[static_cast<std::size_t>(util::SimdTier::Avx512)] =

@@ -7,10 +7,11 @@
 // Dispatch model: `kernels()` returns a table of function pointers resolved
 // against util::active_simd(). Each tier's implementations live in their
 // own translation unit compiled with the matching target flags
-// (simd_avx2.cpp with -mavx2, simd_avx512.cpp with -mavx512f/-mavx512bw,
-// NEON inline on aarch64); tiers provide *partial* tables and the
-// dispatcher overlays them on the scalar baseline, so a tier only
-// implements the kernels it accelerates.
+// (simd_avx2.cpp with -mavx2, simd_avx512.cpp with -mavx512f/-mavx512bw);
+// tiers provide *partial* tables and the dispatcher overlays them on the
+// scalar baseline, so a tier only implements the kernels it accelerates.
+// There is no NEON table: aarch64 (and FHDNN_SIMD=neon) runs the scalar
+// tier until measured NEON kernels can be built.
 //
 // Bit-exactness contract (the reason golden histories survive dispatch):
 //   * float kernels perform the identical IEEE-754 operation sequence per
@@ -94,19 +95,21 @@ struct Kernels {
                       std::int64_t k, float* c, std::int64_t ldc,
                       std::int64_t cols);
   /// One register tile of c = a * b^T (the micro-kernel under
-  /// ops::matmul_bt_into). For r < rows and j < cols:
-  ///   c[r*ldc + j] = float(sum_{kk = 0..k-1} double(a[r*lda + kk]) *
-  ///                                          double(panel[kk*16 + j]))
+  /// ops::matmul_bt_into and the HD classifier). For r < rows, j < cols:
+  ///   c[r*ldc + j] = sum_{kk = 0..k-1} double(a[r*lda + kk]) *
+  ///                                    double(panel[kk*16 + j])
   /// where each output is its own double lane, starts at +0.0 and adds the
   /// exact float-by-float products in ascending kk — the sequential scalar
-  /// reduction, op for op. Layout: `a` holds `rows` rows of k floats with
-  /// row stride lda; `panel` is the k x 16 packed panel (panel[kk*16 + j]
-  /// = b[j][kk]; lanes j >= cols are zero-padded by the packer and never
-  /// stored); `c` receives rows x cols floats with row stride ldc.
-  /// Requires 1 <= rows <= kTileRows and 1 <= cols <= kTileCols. c must
-  /// not overlap a or panel; a and panel may overlap each other.
+  /// reduction, op for op. The lanes are stored as doubles; callers that
+  /// want floats round them (matmul_bt_into does). Layout: `a` holds
+  /// `rows` rows of k floats with row stride lda; `panel` is the k x 16
+  /// packed panel (panel[kk*16 + j] = b[j][kk]; lanes j >= cols are
+  /// zero-padded by the packer and never stored); `c` receives rows x cols
+  /// doubles with row stride ldc. Requires 1 <= rows <= kTileRows and
+  /// 1 <= cols <= kTileCols. c must not overlap a or panel; a and panel
+  /// may overlap each other.
   void (*matmul_bt_tile)(const float* a, std::int64_t lda, std::int64_t rows,
-                         const float* panel, std::int64_t k, float* c,
+                         const float* panel, std::int64_t k, double* c,
                          std::int64_t ldc, std::int64_t cols);
 
   // ---- integer kernels (exact) ----
@@ -157,7 +160,6 @@ namespace detail {
 const Kernels& scalar_table();
 const Kernels* avx2_table();    // null outside x86-64 builds
 const Kernels* avx512_table();  // null outside x86-64 builds
-const Kernels* neon_table();    // null outside aarch64 builds
 
 }  // namespace detail
 

@@ -148,24 +148,24 @@ void matmul_tile_avx2(const float* a, std::int64_t a_rs, std::int64_t a_ks,
   }
 }
 
-/// Store one tile row's 8 converted lanes (lo = columns 0-3, hi = 4-7),
+/// Store one tile row's 8 double lanes (lo = columns 0-3, hi = 4-7),
 /// keeping only the first `cols`.
-void store_row_avx2(float* c, __m128 lo, __m128 hi, std::int64_t cols) {
+void store_row_avx2(double* c, __m256d lo, __m256d hi, std::int64_t cols) {
   if (cols >= 8) {
-    _mm_storeu_ps(c, lo);
-    _mm_storeu_ps(c + 4, hi);
+    _mm256_storeu_pd(c, lo);
+    _mm256_storeu_pd(c + 4, hi);
     return;
   }
-  alignas(16) float buf[8];
-  _mm_store_ps(buf, lo);
-  _mm_store_ps(buf + 4, hi);
+  alignas(32) double buf[8];
+  _mm256_store_pd(buf, lo);
+  _mm256_store_pd(buf + 4, hi);
   for (std::int64_t j = 0; j < cols; ++j) c[j] = buf[j];
 }
 
 /// The 4 x 16 tile as two 4 x 8 halves, eight ymm double accumulators
 /// each (all sixteen would leave no registers for the operands).
 void matmul_bt_tile_avx2(const float* a, std::int64_t lda, std::int64_t rows,
-                         const float* panel, std::int64_t k, float* c,
+                         const float* panel, std::int64_t k, double* c,
                          std::int64_t ldc, std::int64_t cols) {
   // Rows past `rows` recompute row 0 and are never stored.
   const float* a0 = a;
@@ -197,8 +197,7 @@ void matmul_bt_tile_avx2(const float* a, std::int64_t lda, std::int64_t rows,
     const __m256d lo[4] = {lo0, lo1, lo2, lo3};
     const __m256d hi[4] = {hi0, hi1, hi2, hi3};
     for (std::int64_t r = 0; r < rows; ++r) {
-      store_row_avx2(c + r * ldc + h * 8, _mm256_cvtpd_ps(lo[r]),
-                     _mm256_cvtpd_ps(hi[r]), cols - h * 8);
+      store_row_avx2(c + r * ldc + h * 8, lo[r], hi[r], cols - h * 8);
     }
   }
 }

@@ -141,26 +141,12 @@ void matmul_tile_avx512(const float* a, std::int64_t a_rs, std::int64_t a_ks,
                     static_cast<__mmask16>((1U << cols) - 1U));
 }
 
-/// Store one tile row's converted lanes (lo = columns 0-7, hi = 8-15),
-/// masked to the first `cols`. Lanes 8-15 of each widened half are
-/// undefined and always masked off.
-void store_row_avx512(float* c, __m256 lo, __m256 hi, std::int64_t cols) {
-  const unsigned mask = (1U << cols) - 1U;
-  _mm512_mask_storeu_ps(c, static_cast<__mmask16>(mask & 0xFFU),
-                        _mm512_castps256_ps512(lo));
-  if (cols > 8) {
-    _mm512_mask_storeu_ps(c + 8, static_cast<__mmask16>(mask >> 8U),
-                          _mm512_castps256_ps512(hi));
-  }
-}
-
 /// The 4 x 16 tile: each __m512d lane is one output's double accumulator.
-/// The maskz_ conversion forms with an all-ones mask are the plain
-/// conversions; they sidestep GCC 12's spurious -Wmaybe-uninitialized on
-/// the _mm512_undefined_* pass-through operand of _mm512_cvtps_pd and
-/// _mm512_cvtpd_ps.
+/// The maskz_ conversion form with an all-ones mask is the plain
+/// conversion; it sidesteps GCC 12's spurious -Wmaybe-uninitialized on the
+/// _mm512_undefined_* pass-through operand of _mm512_cvtps_pd.
 void matmul_bt_tile_avx512(const float* a, std::int64_t lda, std::int64_t rows,
-                           const float* panel, std::int64_t k, float* c,
+                           const float* panel, std::int64_t k, double* c,
                            std::int64_t ldc, std::int64_t cols) {
   constexpr __mmask8 kAll = 0xFF;
   // Rows past `rows` recompute row 0 and are never stored.
@@ -191,9 +177,15 @@ void matmul_bt_tile_avx512(const float* a, std::int64_t lda, std::int64_t rows,
   }
   const __m512d lo[4] = {lo0, lo1, lo2, lo3};
   const __m512d hi[4] = {hi0, hi1, hi2, hi3};
+  // Columns 0-7 from lo, 8-15 from hi, masked to the first `cols`.
+  const unsigned mask = (1U << cols) - 1U;
   for (std::int64_t r = 0; r < rows; ++r) {
-    store_row_avx512(c + r * ldc, _mm512_maskz_cvtpd_ps(kAll, lo[r]),
-                     _mm512_maskz_cvtpd_ps(kAll, hi[r]), cols);
+    _mm512_mask_storeu_pd(c + r * ldc, static_cast<__mmask8>(mask & 0xFFU),
+                          lo[r]);
+    if (cols > 8) {
+      _mm512_mask_storeu_pd(c + r * ldc + 8, static_cast<__mmask8>(mask >> 8U),
+                            hi[r]);
+    }
   }
 }
 

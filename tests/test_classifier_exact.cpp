@@ -4,12 +4,15 @@
 // The oracle below is a verbatim transcription of the original per-element
 // classifier loops (bounds-checked Tensor accessors, one double accumulator
 // per dot product or norm, summed over j = 0..d-1 in order). The production
-// kernels walk raw row pointers, interleave classes, cache prototype norms
-// and split queries across the thread pool; none of that may change a
-// single bit. Every comparison is on the float bit pattern, so NaN payloads
-// and signed zeros count too.
+// kernels run the dot products on the dispatched matmul_bt tile (one double
+// lane per row and class), interleave row norms, cache prototype norms,
+// refine speculatively in 4-row blocks and split queries across the thread
+// pool; none of that may change a single bit, under any SIMD tier. Every
+// comparison is on the float bit pattern, so NaN payloads and signed zeros
+// count too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +23,8 @@
 
 #include "hdc/classifier.hpp"
 #include "tensor/tensor.hpp"
+#include "util/cpu.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -215,6 +220,33 @@ std::int64_t oracle_refine_epoch_adaptive(
   return ::testing::AssertionSuccess();
 }
 
+/// Every SIMD tier the CPU supports; the tile kernel is dispatched per tier.
+std::vector<util::SimdTier> available_tiers() {
+  std::vector<util::SimdTier> out{util::SimdTier::Scalar};
+  for (const auto t : {util::SimdTier::Avx2, util::SimdTier::Avx512}) {
+    if (util::set_simd_tier(t) == t) out.push_back(t);
+  }
+  util::set_simd_tier(util::detected_simd());
+  return out;
+}
+
+/// Runs `body(label)` under every available tier at 1 and 4 threads, then
+/// restores the detected tier and the thread count.
+template <typename Body>
+void for_each_config(Body&& body) {
+  const int saved_threads = parallel::num_threads();
+  for (const auto tier : available_tiers()) {
+    EXPECT_EQ(util::set_simd_tier(tier), tier);
+    for (const int t : {1, 4}) {
+      parallel::set_num_threads(t);
+      body(std::string(util::simd_tier_name(tier)) + ", threads=" +
+           std::to_string(t));
+    }
+  }
+  util::set_simd_tier(util::detected_simd());
+  parallel::set_num_threads(saved_threads);
+}
+
 /// Prototype shapes that hit the special branches.
 enum class Protos {
   kTied,     // row 1 is an exact copy of row 0: every query ties them
@@ -227,7 +259,8 @@ struct Case {
   Protos protos;
 };
 
-constexpr std::int64_t kQueries = 24;
+// 26 rows: six full 4-row tiles and a partial one.
+constexpr std::int64_t kQueries = 26;
 constexpr std::int64_t kNanRow = 1;
 constexpr std::int64_t kSpikeRows[] = {2, 3};
 constexpr float kLr = 0.7F;
@@ -299,9 +332,7 @@ class ClassifierExact : public ::testing::TestWithParam<Case> {
     protos_ = make_prototypes(cs, rng);
     queries_ = make_queries(cs, protos_, rng);
     labels_ = make_labels(cs, rng);
-    saved_threads_ = parallel::num_threads();
   }
-  void TearDown() override { parallel::set_num_threads(saved_threads_); }
 
   HdClassifier classifier() const {
     HdClassifier clf(GetParam().k, GetParam().d);
@@ -309,22 +340,18 @@ class ClassifierExact : public ::testing::TestWithParam<Case> {
     return clf;
   }
 
-  static constexpr int kThreadCounts[] = {1, 4};
-
   Tensor protos_;
   Tensor queries_;
   std::vector<std::int64_t> labels_;
-  int saved_threads_ = 1;
 };
 
 TEST_P(ClassifierExact, Similarities) {
   const Tensor want = oracle_similarities(protos_, queries_);
   const HdClassifier clf = classifier();
-  for (const int t : kThreadCounts) {
-    parallel::set_num_threads(t);
+  for_each_config([&](const std::string& cfg) {
     EXPECT_TRUE(bits_equal(clf.similarities(queries_).data(), want.data()))
-        << "threads=" << t;
-  }
+        << cfg;
+  });
 }
 
 TEST_P(ClassifierExact, MaskedSimilarities) {
@@ -335,22 +362,20 @@ TEST_P(ClassifierExact, MaskedSimilarities) {
   const HdClassifier clf = classifier();
   for (std::size_t m = 0; m < masks.size(); ++m) {
     const Tensor want = oracle_masked_similarities(protos_, queries_, masks[m]);
-    for (const int t : kThreadCounts) {
-      parallel::set_num_threads(t);
+    for_each_config([&](const std::string& cfg) {
       EXPECT_TRUE(bits_equal(clf.masked_similarities(queries_, masks[m]).data(),
                              want.data()))
-          << "mask " << m << ", threads=" << t;
-    }
+          << "mask " << m << ", " << cfg;
+    });
   }
 }
 
 TEST_P(ClassifierExact, Predict) {
   const std::vector<std::int64_t> want = oracle_predict(protos_, queries_);
   const HdClassifier clf = classifier();
-  for (const int t : kThreadCounts) {
-    parallel::set_num_threads(t);
-    EXPECT_EQ(clf.predict(queries_), want) << "threads=" << t;
-  }
+  for_each_config([&](const std::string& cfg) {
+    EXPECT_EQ(clf.predict(queries_), want) << cfg;
+  });
   // The zero query ties every class at 0: the first class wins.
   EXPECT_EQ(want[0], 0);
   if (GetParam().protos == Protos::kTied) {
@@ -368,24 +393,21 @@ TEST_P(ClassifierExact, Bundle) {
 }
 
 TEST_P(ClassifierExact, RefineEpoch) {
-  for (const int t : kThreadCounts) {
-    parallel::set_num_threads(t);
+  for_each_config([&](const std::string& cfg) {
     Tensor want = protos_;
     HdClassifier clf = classifier();
     for (int epoch = 0; epoch < 3; ++epoch) {
       const std::int64_t want_updates =
           oracle_refine_epoch(want, queries_, labels_, kLr);
       EXPECT_EQ(clf.refine_epoch(queries_, labels_, kLr), want_updates)
-          << "epoch " << epoch << ", threads=" << t;
+          << "epoch " << epoch << ", " << cfg;
     }
-    EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data()))
-        << "threads=" << t;
-  }
+    EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data())) << cfg;
+  });
 }
 
 TEST_P(ClassifierExact, RefineEpochAdaptive) {
-  for (const int t : kThreadCounts) {
-    parallel::set_num_threads(t);
+  for_each_config([&](const std::string& cfg) {
     Tensor want = protos_;
     HdClassifier clf = classifier();
     for (int epoch = 0; epoch < 3; ++epoch) {
@@ -393,16 +415,18 @@ TEST_P(ClassifierExact, RefineEpochAdaptive) {
           oracle_refine_epoch_adaptive(want, queries_, labels_, kLr);
       EXPECT_EQ(clf.refine_epoch_adaptive(queries_, labels_, kLr),
                 want_updates)
-          << "epoch " << epoch << ", threads=" << t;
+          << "epoch " << epoch << ", " << cfg;
     }
-    EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data()))
-        << "threads=" << t;
-  }
+    EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data())) << cfg;
+  });
 }
+
+// K spans one panel (2, 3, 10, 16 classes) and two (17, 26 = ISOLET).
+constexpr std::int64_t kClassCounts[] = {2, 3, 10, 16, 17, 26};
 
 std::vector<Case> all_cases() {
   std::vector<Case> out;
-  for (const std::int64_t k : {2, 3, 4, 5, 10}) {
+  for (const std::int64_t k : kClassCounts) {
     for (const std::int64_t d : {1, 63, 64, 65, 10000}) {
       for (const Protos p : {Protos::kTied, Protos::kZeroRow}) {
         out.push_back({k, d, p});
@@ -420,6 +444,200 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ClassifierExact,
                          ::testing::ValuesIn(all_cases()), case_name);
+
+// ---- speculative refinement blocks ---------------------------------------
+//
+// Refinement computes the dots of 4 rows at once and, at the first
+// mispredict, updates and restarts the block at the following row. These
+// fixtures plant mispredicts where that restart matters. Rows are noisy
+// copies of well-separated prototypes, labelled with their own class
+// except at the planted rows; with a small step no other row mispredicts,
+// which the oracle confirms. Block by block (B = block start):
+//   B=0  rows 0-3:   row 0 mispredicts (block position 0)
+//   B=1  rows 1-4:   row 2 (position 1)
+//   B=3  rows 3-6:   row 5 (position 2)
+//   B=6  rows 6-9:   row 9 (position 3)
+//   B=10 rows 10-13: row 10 (position 0), then B=11: row 11 (consecutive)
+//   B=12, B=16: no mispredict
+//   B=20 rows 20-22: row 22, in the last, partial block.
+constexpr std::int64_t kBlockRows = 23;
+constexpr std::int64_t kPlanted[] = {0, 2, 5, 9, 10, 11, 22};
+constexpr float kSmallLr = 0.05F;
+
+struct Shape2 {
+  std::int64_t k;
+  std::int64_t d;
+};
+
+/// Rows [begin, end) of h as their own tensor.
+Tensor rows_of(const Tensor& h, std::int64_t begin, std::int64_t end) {
+  const std::int64_t d = h.dim(1);
+  const auto first = h.data().begin() + begin * d;
+  return Tensor(Shape{end - begin, d},
+                std::vector<float>(first, first + (end - begin) * d));
+}
+
+/// The oracle run one row at a time — the same online loop, since the
+/// prototypes are its only state — recording which rows updated.
+template <typename Oracle>
+std::vector<std::int64_t> oracle_updated_rows(
+    Oracle&& oracle, Tensor& c, const Tensor& h,
+    const std::vector<std::int64_t>& labels, float lr) {
+  std::vector<std::int64_t> updated;
+  for (std::int64_t i = 0; i < h.dim(0); ++i) {
+    if (oracle(c, rows_of(h, i, i + 1),
+               {labels[static_cast<std::size_t>(i)]}, lr) == 1) {
+      updated.push_back(i);
+    }
+  }
+  return updated;
+}
+
+/// The block position (row - block start) of each update, replaying the
+/// restart rule: a block is up to 4 rows; an update at row r ends it and
+/// the next block starts at r + 1. `partial_hit` is set when an update
+/// lands in a block cut short by the end of the batch.
+std::vector<std::int64_t> block_positions(
+    const std::vector<std::int64_t>& updated, std::int64_t n,
+    bool& partial_hit) {
+  std::vector<std::int64_t> pos;
+  partial_hit = false;
+  std::size_t u = 0;
+  for (std::int64_t b = 0; b < n;) {
+    const std::int64_t end = std::min(b + 4, n);
+    if (u < updated.size() && updated[u] < end) {
+      pos.push_back(updated[u] - b);
+      partial_hit = partial_hit || end - b < 4;
+      b = updated[u++] + 1;
+    } else {
+      b = end;
+    }
+  }
+  return pos;
+}
+
+class RefineBlocks : public ::testing::TestWithParam<Shape2> {
+ protected:
+  void SetUp() override {
+    const auto [k, d] = GetParam();
+    Rng rng(static_cast<std::uint64_t>(k * 7919 + d));
+    protos_ = Tensor::randn(Shape{k, d}, rng);
+    queries_ = Tensor(Shape{kBlockRows, d});
+    labels_.resize(static_cast<std::size_t>(kBlockRows));
+    for (std::int64_t i = 0; i < kBlockRows; ++i) {
+      const std::int64_t near = i % k;
+      for (std::int64_t j = 0; j < d; ++j) {
+        queries_(i, j) =
+            protos_(near, j) + 0.1F * static_cast<float>(rng.normal());
+      }
+      labels_[static_cast<std::size_t>(i)] = near;
+    }
+    for (const std::int64_t i : kPlanted) {
+      labels_[static_cast<std::size_t>(i)] = (i % k + 1) % k;
+    }
+  }
+
+  HdClassifier classifier() const {
+    HdClassifier clf(GetParam().k, GetParam().d);
+    clf.set_prototypes(protos_);
+    return clf;
+  }
+
+  /// The fixture really plants what the table above says.
+  template <typename Oracle>
+  void expect_planted(Oracle&& oracle) const {
+    Tensor c = protos_;
+    const auto updated =
+        oracle_updated_rows(oracle, c, queries_, labels_, kSmallLr);
+    ASSERT_EQ(updated, std::vector<std::int64_t>(std::begin(kPlanted),
+                                                 std::end(kPlanted)));
+    bool partial_hit = false;
+    const auto pos = block_positions(updated, kBlockRows, partial_hit);
+    EXPECT_EQ(pos, (std::vector<std::int64_t>{0, 1, 2, 3, 0, 0, 2}));
+    EXPECT_TRUE(partial_hit);
+  }
+
+  Tensor protos_;
+  Tensor queries_;
+  std::vector<std::int64_t> labels_;
+};
+
+TEST_P(RefineBlocks, FixedStep) {
+  expect_planted(oracle_refine_epoch);
+  for_each_config([&](const std::string& cfg) {
+    Tensor want = protos_;
+    HdClassifier clf = classifier();
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      const std::int64_t want_updates =
+          oracle_refine_epoch(want, queries_, labels_, kSmallLr);
+      EXPECT_EQ(clf.refine_epoch(queries_, labels_, kSmallLr), want_updates)
+          << "epoch " << epoch << ", " << cfg;
+      EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data()))
+          << "epoch " << epoch << ", " << cfg;
+    }
+  });
+}
+
+TEST_P(RefineBlocks, Adaptive) {
+  expect_planted(oracle_refine_epoch_adaptive);
+  for_each_config([&](const std::string& cfg) {
+    Tensor want = protos_;
+    HdClassifier clf = classifier();
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      const std::int64_t want_updates =
+          oracle_refine_epoch_adaptive(want, queries_, labels_, kSmallLr);
+      EXPECT_EQ(clf.refine_epoch_adaptive(queries_, labels_, kSmallLr),
+                want_updates)
+          << "epoch " << epoch << ", " << cfg;
+      EXPECT_TRUE(bits_equal(clf.prototypes().data(), want.data()))
+          << "epoch " << epoch << ", " << cfg;
+    }
+  });
+}
+
+// Row 7 sits mid-block (the block restarted at row 6 after row 5's
+// update). A label out of range there throws, and the prototypes keep
+// exactly the updates of rows 0-6 — the oracle run on that prefix.
+TEST_P(RefineBlocks, BadLabelMidBlockKeepsOracleState) {
+  constexpr std::int64_t kBadRow = 7;
+  std::vector<std::int64_t> labels = labels_;
+  labels[static_cast<std::size_t>(kBadRow)] = GetParam().k;
+  const Tensor prefix = rows_of(queries_, 0, kBadRow);
+  const std::vector<std::int64_t> prefix_labels(labels.begin(),
+                                                labels.begin() + kBadRow);
+  Tensor want_fixed = protos_;
+  oracle_refine_epoch(want_fixed, prefix, prefix_labels, kSmallLr);
+  Tensor want_adaptive = protos_;
+  oracle_refine_epoch_adaptive(want_adaptive, prefix, prefix_labels,
+                               kSmallLr);
+  for_each_config([&](const std::string& cfg) {
+    HdClassifier fixed = classifier();
+    EXPECT_THROW(fixed.refine_epoch(queries_, labels, kSmallLr), Error) << cfg;
+    EXPECT_TRUE(bits_equal(fixed.prototypes().data(), want_fixed.data()))
+        << cfg;
+    HdClassifier adaptive = classifier();
+    EXPECT_THROW(adaptive.refine_epoch_adaptive(queries_, labels, kSmallLr),
+                 Error)
+        << cfg;
+    EXPECT_TRUE(bits_equal(adaptive.prototypes().data(), want_adaptive.data()))
+        << cfg;
+  });
+}
+
+std::vector<Shape2> block_shapes() {
+  std::vector<Shape2> out;
+  for (const std::int64_t k : kClassCounts) {
+    for (const std::int64_t d : {63, 64, 65, 10000}) out.push_back({k, d});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Planted, RefineBlocks, ::testing::ValuesIn(block_shapes()),
+    [](const ::testing::TestParamInfo<Shape2>& info) {
+      return "K" + std::to_string(info.param.k) + "_d" +
+             std::to_string(info.param.d);
+    });
 
 }  // namespace
 }  // namespace fhdnn

@@ -29,6 +29,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -332,16 +333,20 @@ INSTANTIATE_TEST_SUITE_P(
 constexpr std::int64_t kLdc = simd::kGemmCols + 3;
 
 /// c holds a tile written at row stride ldc: +0.0 in the live rows x cols,
-/// the guard everywhere else.
-void expect_zero_tile(const std::vector<float>& c, std::int64_t rows,
+/// the guard everywhere else. T is float (matmul_tile) or double (the
+/// matmul_bt_tile lanes).
+template <typename T>
+void expect_zero_tile(const std::vector<T>& c, std::int64_t rows,
                       std::int64_t cols, std::int64_t ldc,
                       util::SimdTier tier) {
+  using Bits =
+      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
   const auto total = static_cast<std::int64_t>(c.size());
   for (std::int64_t at = 0; at < total; ++at) {
     const std::int64_t r = at / ldc, j = at % ldc;
-    const float want = r < rows && j < cols ? 0.0F : kGuard;
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(c[static_cast<std::size_t>(at)]),
-              std::bit_cast<std::uint32_t>(want))
+    const T want = r < rows && j < cols ? T{0} : T{kGuard};
+    ASSERT_EQ(std::bit_cast<Bits>(c[static_cast<std::size_t>(at)]),
+              std::bit_cast<Bits>(want))
         << util::simd_tier_name(tier) << " rows " << rows << " cols " << cols
         << " at (" << r << ", " << j << ")";
   }
@@ -360,8 +365,8 @@ TEST(MatmulExactTile, EmptySumIsPositiveZeroUnderEveryTier) {
     for (std::int64_t rows = 1; rows <= simd::kTileRows; ++rows) {
       for (std::int64_t cols = 1; cols <= simd::kTileCols; ++cols) {
         constexpr std::int64_t ldc = simd::kTileCols + 3;
-        std::vector<float> c(static_cast<std::size_t>(simd::kTileRows * ldc),
-                             kGuard);
+        std::vector<double> c(static_cast<std::size_t>(simd::kTileRows * ldc),
+                              kGuard);
         tile(a, 0, rows, panel, 0, c.data(), ldc, cols);
         expect_zero_tile(c, rows, cols, ldc, tier);
       }
